@@ -62,13 +62,6 @@ type Options struct {
 	// ProbeInterval paces the background health/repair loop; 0 means
 	// DefaultProbeInterval, negative disables the loop.
 	ProbeInterval time.Duration
-	// SerializeScatter queries shards one at a time instead of fanning out
-	// concurrently. It exists for measurement: when the whole cluster shares
-	// one core (benchmarks hosting shards in-process), concurrent fetches
-	// contend and every per-shard QueryTiming inflates to the total wall
-	// time; serialized, each entry is that shard's isolated service time.
-	// Never set it in deployment — it turns the scatter's max into a sum.
-	SerializeScatter bool
 }
 
 // DefaultProbeInterval paces the shard health loop when unset.
@@ -112,17 +105,6 @@ type Result struct {
 	// Unavailable names the shards that did not contribute.
 	Partial     bool
 	Unavailable []string
-	// Timing is set on engine (scatter-gather) outcomes only.
-	Timing *QueryTiming
-}
-
-// QueryTiming decomposes one scatter-gather: per-shard fetch+decode wall
-// times (concurrent in deployment — on a multi-core host the scatter phase
-// costs the max, not the sum) and the serial coordinator-side merge. Cache
-// and semantic hits carry no timing; they never scatter.
-type QueryTiming struct {
-	ShardNs []int64 `json:"shard_ns"`
-	MergeNs int64   `json:"merge_ns"`
 }
 
 // BatchResult is one member of a coordinated batch.
@@ -158,7 +140,6 @@ type Coordinator struct {
 	batches atomic.Uint64
 
 	probeEvery time.Duration
-	serialize  bool
 	stop       chan struct{}
 	stopped    sync.Once
 	loopDone   chan struct{}
@@ -203,7 +184,6 @@ func New(specs []ShardSpec, opts Options) (*Coordinator, error) {
 		datasets:   make(map[string]*clusterDataset),
 		nextGen:    1,
 		probeEvery: probe,
-		serialize:  opts.SerializeScatter,
 		stop:       make(chan struct{}),
 	}
 	//lint:background lifecycle root: the probe loop outlives every request and is canceled by Close
@@ -442,7 +422,6 @@ func pointsOf(pool []data.Point, ids []data.PointID) []data.Point {
 // gathered is the scatter phase's outcome across all shards.
 type gathered struct {
 	locals      []parallel.Local
-	shardNs     []int64
 	unavailable []string
 	err         error // protocol/cancellation error that must fail the query
 }
@@ -452,39 +431,27 @@ type gathered struct {
 func (c *Coordinator) scatter(ctx context.Context, cd *clusterDataset, fetch func(ctx context.Context, sc *shardClient) (*Partial, error)) gathered {
 	m, l := cd.schema.NumDims(), cd.schema.NomDims()
 	locals := make([]parallel.Local, len(c.shards))
-	shardNs := make([]int64, len(c.shards))
 	errs := make([]error, len(c.shards))
-	one := func(i int, sc *shardClient) {
-		t0 := time.Now()
-		defer func() { shardNs[i] = time.Since(t0).Nanoseconds() }()
-		partial, err := fetch(ctx, sc)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		local, err := decodePartial(partial, m, l)
-		if err != nil {
-			errs[i] = fmt.Errorf("%w: %s: %v", ErrShardProtocol, sc.name(), err)
-			return
-		}
-		locals[i] = local
+	var wg sync.WaitGroup
+	for i, sc := range c.shards {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			partial, err := fetch(ctx, sc)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			local, err := decodePartial(partial, m, l)
+			if err != nil {
+				errs[i] = fmt.Errorf("%w: %s: %v", ErrShardProtocol, sc.name(), err)
+				return
+			}
+			locals[i] = local
+		}()
 	}
-	if c.serialize {
-		for i, sc := range c.shards {
-			one(i, sc)
-		}
-	} else {
-		var wg sync.WaitGroup
-		for i, sc := range c.shards {
-			wg.Add(1)
-			go func(i int, sc *shardClient) {
-				defer wg.Done()
-				one(i, sc)
-			}(i, sc)
-		}
-		wg.Wait()
-	}
-	g := gathered{locals: locals, shardNs: shardNs}
+	wg.Wait()
+	g := gathered{locals: locals}
 	for i, err := range errs {
 		switch {
 		case err == nil:
@@ -535,7 +502,6 @@ func (c *Coordinator) finish(ctx context.Context, dataset string, cd *clusterDat
 	if err != nil {
 		return nil, err
 	}
-	mergeStart := time.Now()
 	ids, err := parallel.MergeLocals(ctx, cmp, g.locals)
 	if err != nil {
 		return nil, err
@@ -543,7 +509,6 @@ func (c *Coordinator) finish(ctx context.Context, dataset string, cd *clusterDat
 	res := &Result{
 		IDs:     ids,
 		Outcome: service.OutcomeEngine,
-		Timing:  &QueryTiming{ShardNs: g.shardNs, MergeNs: time.Since(mergeStart).Nanoseconds()},
 	}
 	if len(g.unavailable) > 0 {
 		res.Partial = true

@@ -107,6 +107,8 @@ func (c *Cache) shard(key string) *cacheShard {
 }
 
 // lookup returns the entry for the key, marking it most recently used.
+// Entries are immutable once installed (put replaces, never rewrites), so
+// the caller reads the returned entry without holding the shard lock.
 func (c *Cache) lookup(key string) (*cacheEntry, bool) {
 	s := c.shard(key)
 	s.mu.Lock()
@@ -207,11 +209,9 @@ func (c *Cache) put(key, dataset, state string, ids []data.PointID, rows []data.
 		c.stalePuts.Add(1)
 		return
 	}
+	e := &cacheEntry{key: key, dataset: dataset, state: state, ids: ids, rows: rows}
 	if el, ok := s.byKey[key]; ok {
-		e := el.Value.(*cacheEntry)
-		e.ids = ids
-		e.rows = rows
-		e.state = state
+		el.Value = e
 		s.ll.MoveToFront(el)
 		return
 	}
@@ -221,7 +221,7 @@ func (c *Cache) put(key, dataset, state string, ids []data.PointID, rows []data.
 		delete(s.byKey, back.Value.(*cacheEntry).key)
 		c.evictions.Add(1)
 	}
-	s.byKey[key] = s.ll.PushFront(&cacheEntry{key: key, dataset: dataset, state: state, ids: ids, rows: rows})
+	s.byKey[key] = s.ll.PushFront(e)
 }
 
 // sweep removes every entry of the dataset for which drop returns true,

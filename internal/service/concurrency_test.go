@@ -215,3 +215,53 @@ func TestConcurrentHammer(t *testing.T) {
 		t.Error("query counter stayed zero")
 	}
 }
+
+// TestCachePutWhileGet rewrites one key with alternating results of
+// different lengths while readers Get and ProbeRows it. A reader must see
+// one whole entry: ids and rows from the same Put, never one slice from each.
+func TestCachePutWhileGet(t *testing.T) {
+	short := []data.PointID{1}
+	long := []data.PointID{1, 2, 3}
+	shortRows := make([]data.Point, len(short))
+	longRows := make([]data.Point, len(long))
+	c := NewCache(8, 1)
+	const key, iters = "k", 2000
+	c.PutRows(key, "d", "s", short, shortRows)
+
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				if (i+w)%2 == 0 {
+					c.PutRows(key, "d", "s", long, longRows)
+				} else {
+					c.PutRows(key, "d", "s", short, shortRows)
+				}
+			}
+		}(w)
+	}
+	torn := make(chan string, 4)
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				if ids, ok := c.Get(key); ok && len(ids) != len(short) && len(ids) != len(long) {
+					torn <- "Get returned an id slice of unexpected length"
+					return
+				}
+				if ids, rows, ok := c.ProbeRows(key); ok && len(ids) != len(rows) {
+					torn <- "ProbeRows returned ids and rows of different lengths"
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(torn)
+	for msg := range torn {
+		t.Error(msg)
+	}
+}
