@@ -338,11 +338,6 @@ func BenchmarkAblationBaselines(b *testing.B) {
 			skyline.SFS(w.ds.Points(), cmp)
 		}
 	})
-	b.Run("DC", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			skyline.DC(w.ds.Points(), cmp)
-		}
-	})
 }
 
 // BenchmarkAblationFullMaterialization quantifies the strawman §3 rejects:

@@ -8,7 +8,7 @@
 //	skylined -addr :8080 -demo
 //	skylined -addr :8080 -dataset hotels=schema.json,data.csv -engine hybrid -topk 10
 //	skylined -addr :8080 -demo -engine parallel-sfs -partitions 8 -query-timeout 250ms
-//	skylined -addr :8080 -demo -kernel flat -pprof 127.0.0.1:6060
+//	skylined -addr :8080 -demo -pprof 127.0.0.1:6060
 //
 // Endpoints:
 //
@@ -95,9 +95,7 @@ func run(args []string) error {
 		queryTO    = fs.Duration("query-timeout", 0, "per-query deadline for uncached queries (0 = none)")
 		semLimit   = fs.Int("semantic-limit", 0, "max cached coarser-skyline size the semantic cache path will scan (0 = default 4096, negative disables)")
 		demo       = fs.Bool("demo", false, "host the built-in flights demo dataset")
-		kernel     = fs.String("kernel", "flat", "scan kernel for sfsd/parallel engines: flat (columnar) or pointer")
 		gridSpec   = fs.String("grid", "auto", "grid pruning for flat-kernel scans: auto (large scans only), on or off")
-		batchVec   = fs.Bool("batch-vectorized", true, "answer /v1/batch misses in one shared scan instead of per-preference queries")
 		pprofAddr  = fs.String("pprof", "", "serve net/http/pprof on this loopback address (e.g. 127.0.0.1:6060; empty disables)")
 		compactAt  = fs.Int("compact-threshold", 0, "delta+tombstone rows that trigger background compaction (0 = default, negative disables)")
 		readOnly   = fs.Bool("readonly", false, "freeze all datasets: /v1/insert and /v1/delete answer 409")
@@ -144,9 +142,6 @@ func run(args []string) error {
 	if len(datasets) == 0 && !*demo && !*shardMode {
 		return fmt.Errorf("no datasets: pass -dataset name=schema.json,data.csv or -demo")
 	}
-	if _, err := flat.ParseKernel(*kernel); err != nil {
-		return err
-	}
 	if _, err := flat.ParseGridMode(*gridSpec); err != nil {
 		return err
 	}
@@ -166,7 +161,6 @@ func run(args []string) error {
 		Workers:                *workers,
 		QueryTimeout:           *queryTO,
 		SemanticCandidateLimit: *semLimit,
-		DisableVectorizedBatch: !*batchVec,
 		MaxQueuedQueries:       *maxQueued,
 	})
 	cfgFor := func(name string, schema *data.Schema) (service.EngineConfig, error) {
@@ -179,7 +173,6 @@ func run(args []string) error {
 			Template:         tmpl,
 			Tree:             prefsky.TreeOptions{TopK: *topK},
 			Partitions:       *partitions,
-			Kernel:           *kernel,
 			Grid:             *gridSpec,
 			CompactThreshold: *compactAt,
 			ReadOnly:         *readOnly,
@@ -201,7 +194,6 @@ func run(args []string) error {
 			Kind:             *engine,
 			Tree:             prefsky.TreeOptions{TopK: *topK},
 			Partitions:       *partitions,
-			Kernel:           *kernel,
 			Grid:             *gridSpec,
 			CompactThreshold: *compactAt,
 		}

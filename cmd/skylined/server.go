@@ -132,8 +132,7 @@ func classify(err error) (status int, code string) {
 		// already gone.
 		return http.StatusNotFound, codeUnknownPoint
 	case errors.Is(err, service.ErrNotMaintainable):
-		// The dataset is explicitly read-only or runs a legacy
-		// pointer-kernel engine.
+		// The dataset is explicitly read-only.
 		return http.StatusConflict, codeReadOnly
 	case errors.Is(err, service.ErrDegraded):
 		// A disk fault moved the dataset to degraded read-only; the re-arm

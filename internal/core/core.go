@@ -5,14 +5,13 @@
 // harness, plus the SFS-D baseline, the hybrid of §5.3 and the partitioned
 // multi-core engines of internal/parallel.
 //
-// Every engine built on the flat kernel reads a versioned columnar store
-// (flat.Store) and supports §4.3 maintenance through the Maintainer
-// interface: scan engines are trivially maintainable (each query projects
-// the current snapshot), SFS-A maintains its structures incrementally, and
-// the tree-backed engines version-gate their tree — it answers while the
-// data is unchanged, queries fall back to a live-snapshot scan after a
-// mutation, and compaction rebuilds the tree. Only the legacy pointer-kernel
-// engines are immutable.
+// Every engine reads a versioned columnar store (flat.Store) and supports
+// §4.3 maintenance through the Maintainer interface: scan engines are
+// trivially maintainable (each query projects the current snapshot), SFS-A
+// maintains its structures incrementally, and the tree-backed engines
+// version-gate their tree — it answers while the data is unchanged, queries
+// fall back to a live-snapshot scan after a mutation, and compaction
+// rebuilds the tree.
 package core
 
 import (
@@ -29,19 +28,6 @@ import (
 	"prefsky/internal/ipotree"
 	"prefsky/internal/order"
 	"prefsky/internal/parallel"
-	"prefsky/internal/skyline"
-)
-
-// Kernel re-exports the scan-kernel selector: KernelFlat (columnar block +
-// per-query rank projection, the default) or KernelPointer (the original
-// per-point slice kernel). It applies to the scan-based kinds — sfsd,
-// parallel-sfs and parallel-hybrid's fallback.
-type Kernel = flat.Kernel
-
-// Kernel choices for Options.Kernel.
-const (
-	KernelFlat    = flat.KernelFlat
-	KernelPointer = flat.KernelPointer
 )
 
 // Engine answers implicit-preference skyline queries.
@@ -86,7 +72,7 @@ type BatchMaintainer interface {
 type maintainable interface{ Maintainer() Maintainer }
 
 // Maintainable returns the engine's maintenance interface (§4.3), or nil
-// when the engine is immutable (the legacy pointer-kernel engines).
+// when the engine does not implement one.
 func Maintainable(e Engine) Maintainer {
 	if m, ok := e.(maintainable); ok {
 		return m.Maintainer()
@@ -117,9 +103,9 @@ func ValidatorOf(e Engine) PreferenceValidator {
 // storeBacked is implemented by engines reading a versioned columnar store.
 type storeBacked interface{ Store() *flat.Store }
 
-// StoreOf returns the versioned store the engine reads, or nil for
-// immutable (pointer-kernel) engines. The store is the system of record for
-// point lookups, live counts and the data version.
+// StoreOf returns the versioned store the engine reads, or nil for an
+// engine that reads none. The store is the system of record for point
+// lookups, live counts and the data version.
 func StoreOf(e Engine) *flat.Store {
 	if s, ok := e.(storeBacked); ok {
 		return s.Store()
@@ -128,7 +114,7 @@ func StoreOf(e Engine) *flat.Store {
 }
 
 // VersionOf returns the data version the engine's query results reflect: the
-// store's mutation counter, or 0 for immutable engines.
+// store's mutation counter, or 0 for an engine without a store.
 func VersionOf(e Engine) uint64 {
 	if st := StoreOf(e); st != nil {
 		return st.Version()
@@ -144,18 +130,15 @@ type Options struct {
 	// Partitions is the block count for the parallel kinds (0 = GOMAXPROCS)
 	// and is ignored otherwise.
 	Partitions int
-	// Kernel selects the dominance/scan kernel for the scan-based kinds
-	// (sfsd, parallel-sfs, parallel-hybrid). The zero value is KernelFlat.
-	Kernel Kernel
 	// CompactThreshold is the delta+tombstone row count that triggers
 	// background compaction of the engine's versioned store: 0 means the
 	// default (flat.DefaultCompactThreshold), negative disables automatic
-	// compaction. Ignored by pointer-kernel engines.
+	// compaction.
 	CompactThreshold int
 	// Grid selects cell-grid pruning for the flat scans (SFS-D, the
 	// parallel engines and the tree engines' stale fallback). The zero
 	// value is flat.GridAuto: build the grid only for scans large enough to
-	// amortize it. Ignored by pointer-kernel engines.
+	// amortize it.
 	Grid flat.GridMode
 }
 
@@ -307,13 +290,12 @@ func newAdaptiveSFSStore(store *flat.Store, template *order.Preference) (Engine,
 }
 
 // SFSD is the baseline: no per-preference preprocessing; every query sorts
-// and scans the entire dataset (§5's SFS-D). On the default flat kernel the
-// engine reads a versioned columnar store: each query grabs the current
-// snapshot lock-free and pays only the rank projection plus the packed-key
-// presort and scan, and Insert/Delete are supported through the store.
+// and scans the entire dataset (§5's SFS-D). The engine reads a versioned
+// columnar store: each query grabs the current snapshot lock-free and pays
+// only the rank projection plus the packed-key presort and scan, and
+// Insert/Delete are supported through the store.
 type SFSD struct {
-	ds    *data.Dataset // pointer-kernel data (nil on the flat kernel)
-	store *flat.Store   // nil on the pointer kernel
+	store *flat.Store
 	grid  flat.GridMode // grid pruning for the flat scans
 }
 
@@ -321,20 +303,13 @@ type SFSD struct {
 // the default). Call it at configuration time, before queries run.
 func (s *SFSD) SetGridMode(m flat.GridMode) { s.grid = m }
 
-// NewSFSD wraps a dataset as the SFS-D baseline on the default (flat) kernel.
+// NewSFSD wraps a dataset as the SFS-D baseline over a private versioned
+// store.
 func NewSFSD(ds *data.Dataset) (*SFSD, error) {
-	return NewSFSDKernel(ds, KernelFlat)
-}
-
-// NewSFSDKernel is NewSFSD with an explicit kernel choice.
-func NewSFSDKernel(ds *data.Dataset, kernel Kernel) (*SFSD, error) {
 	if ds == nil {
 		return nil, fmt.Errorf("core: nil dataset")
 	}
-	if kernel == KernelFlat {
-		return &SFSD{store: flat.NewStore(ds, 0)}, nil
-	}
-	return &SFSD{ds: ds}, nil
+	return &SFSD{store: flat.NewStore(ds, 0)}, nil
 }
 
 // NewSFSDStore wraps an existing versioned store as the SFS-D baseline.
@@ -353,17 +328,10 @@ func (s *SFSD) Skyline(ctx context.Context, pref *order.Preference) ([]data.Poin
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if s.store != nil {
-		// The flat scan is cancellable for free, so a disconnected client or
-		// expired deadline frees its worker slot mid-scan instead of burning
-		// it for the full O(N) pass.
-		return scanFallback(ctx, s.store.Snapshot(), pref, s.grid)
-	}
-	cmp, err := dominance.NewComparator(s.ds.Schema(), pref)
-	if err != nil {
-		return nil, err
-	}
-	return skyline.SFS(s.ds.Points(), cmp), nil
+	// The flat scan is cancellable for free, so a disconnected client or
+	// expired deadline frees its worker slot mid-scan instead of burning it
+	// for the full O(N) pass.
+	return scanFallback(ctx, s.store.Snapshot(), pref, s.grid)
 }
 
 // SizeBytes implements Engine; SFS-D keeps no index (§5: "SFS-D does not use
@@ -371,26 +339,14 @@ func (s *SFSD) Skyline(ctx context.Context, pref *order.Preference) ([]data.Poin
 // dataset itself, not preference-dependent storage — see BlockBytes.
 func (s *SFSD) SizeBytes() int { return 0 }
 
-// BlockBytes reports the columnar store's footprint (0 on the pointer
-// kernel).
-func (s *SFSD) BlockBytes() int {
-	if s.store == nil {
-		return 0
-	}
-	return s.store.Snapshot().SizeBytes()
-}
+// BlockBytes reports the columnar store's footprint.
+func (s *SFSD) BlockBytes() int { return s.store.Snapshot().SizeBytes() }
 
-// Store returns the versioned store (nil on the pointer kernel).
+// Store returns the versioned store.
 func (s *SFSD) Store() *flat.Store { return s.store }
 
-// Maintainer returns the store-backed maintenance interface, or nil on the
-// pointer kernel.
-func (s *SFSD) Maintainer() Maintainer {
-	if s.store == nil {
-		return nil
-	}
-	return s.store
-}
+// Maintainer returns the store-backed maintenance interface.
+func (s *SFSD) Maintainer() Maintainer { return s.store }
 
 // hybridEngine adapts *hybrid.Engine.
 type hybridEngine struct {
@@ -437,25 +393,15 @@ func (p *parallelEngine) Name() string { return "Parallel-SFS" }
 func (p *parallelEngine) Skyline(ctx context.Context, pref *order.Preference) ([]data.PointID, error) {
 	return p.e.Skyline(ctx, pref)
 }
-func (p *parallelEngine) SizeBytes() int     { return p.e.SizeBytes() }
-func (p *parallelEngine) Store() *flat.Store { return p.e.Store() }
-func (p *parallelEngine) Maintainer() Maintainer {
-	if st := p.e.Store(); st != nil {
-		return st
-	}
-	return nil
-}
+func (p *parallelEngine) SizeBytes() int         { return p.e.SizeBytes() }
+func (p *parallelEngine) Store() *flat.Store     { return p.e.Store() }
+func (p *parallelEngine) Maintainer() Maintainer { return p.e.Store() }
 
 // NewParallelSFS builds the partitioned multi-core SFS-D counterpart:
-// P concurrent block scans plus a merge-filter, on the default (flat)
-// kernel. partitions <= 0 defaults to GOMAXPROCS.
+// P concurrent block scans plus a merge-filter. partitions <= 0 defaults to
+// GOMAXPROCS.
 func NewParallelSFS(ds *data.Dataset, partitions int) (Engine, error) {
-	return NewParallelSFSKernel(ds, partitions, KernelFlat)
-}
-
-// NewParallelSFSKernel is NewParallelSFS with an explicit kernel choice.
-func NewParallelSFSKernel(ds *data.Dataset, partitions int, kernel Kernel) (Engine, error) {
-	e, err := parallel.NewKernel(ds, partitions, kernel)
+	e, err := parallel.New(ds, partitions)
 	if err != nil {
 		return nil, err
 	}
@@ -471,29 +417,18 @@ func (p *parallelHybridEngine) Name() string { return "Parallel-Hybrid" }
 func (p *parallelHybridEngine) Skyline(ctx context.Context, pref *order.Preference) ([]data.PointID, error) {
 	return p.e.Skyline(ctx, pref)
 }
-func (p *parallelHybridEngine) SizeBytes() int     { return p.e.SizeBytes() }
-func (p *parallelHybridEngine) Store() *flat.Store { return p.e.Store() }
-func (p *parallelHybridEngine) Maintainer() Maintainer {
-	if st := p.e.Store(); st != nil {
-		return st
-	}
-	return nil
-}
+func (p *parallelHybridEngine) SizeBytes() int         { return p.e.SizeBytes() }
+func (p *parallelHybridEngine) Store() *flat.Store     { return p.e.Store() }
+func (p *parallelHybridEngine) Maintainer() Maintainer { return p.e.Store() }
 func (p *parallelHybridEngine) ValidatePreference(pref *order.Preference) error {
 	return p.e.ValidatePreference(pref)
 }
 
 // NewParallelHybrid builds the hybrid whose unmaterialized-value fallback is
 // the partitioned scan instead of single-threaded SFS-A: tree hits stay
-// instant, and the slow path uses every core (flat kernel by default).
+// instant, and the slow path uses every core.
 func NewParallelHybrid(ds *data.Dataset, template *order.Preference, treeOpts ipotree.Options, partitions int) (Engine, error) {
-	return NewParallelHybridKernel(ds, template, treeOpts, partitions, KernelFlat)
-}
-
-// NewParallelHybridKernel is NewParallelHybrid with an explicit kernel choice
-// for the fallback scan.
-func NewParallelHybridKernel(ds *data.Dataset, template *order.Preference, treeOpts ipotree.Options, partitions int, kernel Kernel) (Engine, error) {
-	e, err := parallel.NewHybridKernel(ds, template, treeOpts, partitions, kernel)
+	e, err := parallel.NewHybrid(ds, template, treeOpts, partitions)
 	if err != nil {
 		return nil, err
 	}
@@ -517,72 +452,25 @@ func Kinds() []string {
 //	parallel-sfs, psfs        → NewParallelSFS
 //	parallel-hybrid, phybrid  → NewParallelHybrid
 //
-// opts.Tree applies to the tree-backed kinds, opts.Partitions to the
-// parallel kinds, opts.Kernel to the scan-based kinds; each is ignored
-// otherwise. Unless opts.Kernel selects the legacy pointer kernel, the
-// engine reads a versioned store compacting at opts.CompactThreshold and
-// supports maintenance (Maintainable returns non-nil).
+// opts.Tree applies to the tree-backed kinds and opts.Partitions to the
+// parallel kinds; each is ignored otherwise. The engine reads a private
+// versioned store compacting at opts.CompactThreshold and supports
+// maintenance (Maintainable returns non-nil).
 func NewByName(kind string, ds *data.Dataset, template *order.Preference, opts Options) (Engine, error) {
 	if ds == nil {
 		return nil, fmt.Errorf("core: nil dataset")
 	}
-	newStore := func() *flat.Store { return flat.NewStore(ds, opts.CompactThreshold) }
-	switch strings.ToLower(strings.TrimSpace(kind)) {
-	case "ipo", "ipotree", "ipo tree", "ipo-tree":
-		return newIPOTree(newStore(), template, opts.Tree, opts.Grid)
-	case "sfsa", "sfs-a":
-		return newAdaptiveSFSStore(newStore(), template)
-	case "sfsd", "sfs-d":
-		if opts.Kernel == KernelPointer {
-			return NewSFSDKernel(ds, KernelPointer)
-		}
-		e, err := NewSFSDStore(newStore())
-		if err != nil {
-			return nil, err
-		}
-		e.SetGridMode(opts.Grid)
-		return e, nil
-	case "hybrid":
-		return newHybridStore(newStore(), template, opts.Tree)
-	case "parallel-sfs", "parallelsfs", "parallel sfs", "psfs":
-		if opts.Kernel == KernelPointer {
-			return NewParallelSFSKernel(ds, opts.Partitions, KernelPointer)
-		}
-		e, err := parallel.NewFromStore(newStore(), opts.Partitions)
-		if err != nil {
-			return nil, err
-		}
-		e.SetGridMode(opts.Grid)
-		return &parallelEngine{e: e}, nil
-	case "parallel-hybrid", "parallelhybrid", "parallel hybrid", "phybrid":
-		if opts.Kernel == KernelPointer {
-			return NewParallelHybridKernel(ds, template, opts.Tree, opts.Partitions, KernelPointer)
-		}
-		e, err := parallel.NewHybridFromStore(newStore(), template, opts.Tree, opts.Partitions)
-		if err != nil {
-			return nil, err
-		}
-		e.SetGridMode(opts.Grid)
-		return &parallelHybridEngine{e: e}, nil
-	default:
-		return nil, fmt.Errorf("core: unknown engine kind %q (want one of %s)",
-			kind, strings.Join(Kinds(), ", "))
-	}
+	return NewFromStore(kind, flat.NewStore(ds, opts.CompactThreshold), template, opts)
 }
 
 // NewFromStore builds an engine of the given kind over an existing versioned
 // store — the durability path: a recovered store exists before any engine
 // does, so construction cannot route through NewByName's dataset wrapping.
-// Kind names and option handling match NewByName exactly, except that the
-// legacy pointer kernel is rejected: it copies points out of a dataset and
-// would silently detach from the journaled store that is the system of
-// record.
+// Kind names and option handling match NewByName exactly;
+// opts.CompactThreshold is the store's own concern and is ignored here.
 func NewFromStore(kind string, store *flat.Store, template *order.Preference, opts Options) (Engine, error) {
 	if store == nil {
 		return nil, fmt.Errorf("core: nil store")
-	}
-	if opts.Kernel == KernelPointer {
-		return nil, fmt.Errorf("core: pointer kernel cannot serve an existing store")
 	}
 	switch strings.ToLower(strings.TrimSpace(kind)) {
 	case "ipo", "ipotree", "ipo tree", "ipo-tree":

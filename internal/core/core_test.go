@@ -6,8 +6,10 @@ import (
 	"testing"
 
 	"prefsky/internal/data"
+	"prefsky/internal/dominance"
 	"prefsky/internal/ipotree"
 	"prefsky/internal/order"
+	"prefsky/internal/skyline"
 )
 
 func engines(t *testing.T) []Engine {
@@ -179,7 +181,7 @@ func TestCanceledContextRejected(t *testing.T) {
 func TestMaintainable(t *testing.T) {
 	ds := data.Table1()
 	tmpl := ds.Schema().EmptyPreference()
-	// Every kind on the default flat kernel is maintainable and store-backed.
+	// Every kind is maintainable and store-backed.
 	for _, kind := range Kinds() {
 		e, err := NewByName(kind, ds, tmpl, Options{})
 		if err != nil {
@@ -192,30 +194,15 @@ func TestMaintainable(t *testing.T) {
 			t.Errorf("StoreOf(%s) = nil, want versioned store", kind)
 		}
 	}
-	// The legacy pointer-kernel engines stay immutable.
-	sfsd, err := NewSFSDKernel(ds, KernelPointer)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if Maintainable(sfsd) != nil {
-		t.Error("Maintainable(pointer SFS-D) != nil")
-	}
-	if StoreOf(sfsd) != nil || VersionOf(sfsd) != 0 {
-		t.Error("pointer SFS-D reports a store or non-zero version")
-	}
 }
 
-// TestKernelOptionAgreement: the pointer-kernel engines built through
-// Options agree with the default flat-kernel engines on Table 2.
+// TestKernelOptionAgreement: the scan-based engines built through Options
+// agree with the sequential SFS oracle on Table 2.
 func TestKernelOptionAgreement(t *testing.T) {
 	ds := data.Table1()
 	tmpl := ds.Schema().EmptyPreference()
 	for _, kind := range []string{"sfsd", "parallel-sfs", "parallel-hybrid"} {
-		flatEng, err := NewByName(kind, ds, tmpl, Options{Partitions: 3, Kernel: KernelFlat})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ptrEng, err := NewByName(kind, ds, tmpl, Options{Partitions: 3, Kernel: KernelPointer})
+		e, err := NewByName(kind, ds, tmpl, Options{Partitions: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,16 +211,13 @@ func TestKernelOptionAgreement(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := ptrEng.Skyline(context.Background(), pref)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := flatEng.Skyline(context.Background(), pref)
+			want := skyline.SFS(ds.Points(), dominance.MustComparator(ds.Schema(), pref))
+			got, err := e.Skyline(context.Background(), pref)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s %q: flat %v, pointer %v", kind, spec, got, want)
+				t.Errorf("%s %q: engine %v, SFS %v", kind, spec, got, want)
 			}
 		}
 	}
@@ -244,7 +228,7 @@ func TestKernelOptionAgreement(t *testing.T) {
 // past the entry check.
 func TestSFSDFlatCancelsMidScan(t *testing.T) {
 	ds := data.Table1()
-	e, err := NewSFSDKernel(ds, KernelFlat)
+	e, err := NewSFSD(ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +239,7 @@ func TestSFSDFlatCancelsMidScan(t *testing.T) {
 	}
 }
 
-// TestMaintenanceAcrossKinds: every flat-kernel engine kind applies §4.3
+// TestMaintenanceAcrossKinds: every engine kind applies §4.3
 // maintenance — a dominating insert takes over the skyline, a delete
 // restores it — and after compaction the tree-backed engines serve through a
 // rebuilt, id-remapped tree with identical results.
@@ -323,28 +307,11 @@ func TestMaintenanceAcrossKinds(t *testing.T) {
 
 		// Delete the dominator: the original skyline (minus point 0, which
 		// may promote others) must be a valid restoration — compare against
-		// a fresh SFS-D oracle over the live points.
+		// the sequential SFS oracle over the live points.
 		if err := m.Delete(id); err != nil {
 			t.Fatalf("%s: Delete(%d): %v", kind, id, err)
 		}
-		oracleDS, err := data.New(ds.Schema(), StoreOf(e).Snapshot().Points())
-		if err != nil {
-			t.Fatal(err)
-		}
-		oracle, err := NewSFSDKernel(oracleDS, KernelPointer)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantIdx, err := oracle.Skyline(ctx, pref)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The oracle re-indexed ids; remap through the live points.
-		live := StoreOf(e).Snapshot().Points()
-		wantIDs := make([]data.PointID, len(wantIdx))
-		for i, idx := range wantIdx {
-			wantIDs[i] = live[idx].ID
-		}
+		wantIDs := skyline.SFS(StoreOf(e).Snapshot().Points(), dominance.MustComparator(ds.Schema(), pref))
 		got, err = e.Skyline(ctx, pref)
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)

@@ -82,9 +82,6 @@ func TestNewFromStoreRejections(t *testing.T) {
 	if _, err := NewFromStore("ipo", nil, tmpl, Options{}); err == nil {
 		t.Fatal("nil store accepted")
 	}
-	if _, err := NewFromStore("ipo", st, tmpl, Options{Kernel: KernelPointer}); err == nil {
-		t.Fatal("pointer kernel accepted for an existing store")
-	}
 	if _, err := NewFromStore("btree", st, tmpl, Options{}); err == nil {
 		t.Fatal("unknown kind accepted")
 	}

@@ -96,22 +96,13 @@ func BenchmarkKernelProjection(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelParallel measures the partitioned engine on the shared
-// projection (project once, partitions are row ranges) against the pointer
-// partitioned scan that re-scores every block.
+// BenchmarkKernelParallel measures the partitioned scan on the shared
+// projection: project once per query, partitions are row ranges over it.
 func BenchmarkKernelParallel(b *testing.B) {
 	f := fixture(b, 100_000, gen.Independent)
 	ctx := context.Background()
 	for _, parts := range []int{2, 4, 8} {
-		b.Run(fmt.Sprintf("P=%d/kernel=pointer", parts), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := parallel.Skyline(ctx, f.ds.Points(), f.cmp, parts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("P=%d/kernel=flat", parts), func(b *testing.B) {
+		b.Run(fmt.Sprintf("P=%d", parts), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				proj, err := f.blk.Project(f.cmp) // per-query cost, shared by all partitions

@@ -33,39 +33,6 @@ import (
 	"prefsky/internal/order"
 )
 
-// Kernel selects the dominance/scan implementation an engine runs on.
-type Kernel int8
-
-const (
-	// KernelFlat is the columnar block kernel (the default).
-	KernelFlat Kernel = iota
-	// KernelPointer is the original per-point slice kernel, kept as the
-	// reference implementation and benchmark baseline.
-	KernelPointer
-)
-
-func (k Kernel) String() string {
-	switch k {
-	case KernelFlat:
-		return "flat"
-	case KernelPointer:
-		return "pointer"
-	default:
-		return fmt.Sprintf("Kernel(%d)", int8(k))
-	}
-}
-
-// ParseKernel resolves a kernel name; "" means the default (flat).
-func ParseKernel(s string) (Kernel, error) {
-	switch s {
-	case "", "flat", "columnar":
-		return KernelFlat, nil
-	case "pointer", "slice":
-		return KernelPointer, nil
-	}
-	return 0, fmt.Errorf("flat: unknown kernel %q (want flat or pointer)", s)
-}
-
 // Block is the immutable columnar layout of a point set: row i of the dataset
 // occupies num[i*numDims : (i+1)*numDims] and nom[i*nomDims : (i+1)*nomDims].
 // It is built once — at dataset load or service registration — and shared by
@@ -512,7 +479,7 @@ func (pr *Projection) SkylineRange(lo, hi int) []int32 {
 // context every 64 candidates and returns its error, so partitioned engines
 // abort mid-block. It is the single implementation of the flat SFS scan.
 //
-// Like the pointer kernel, the scan relies on §4.1's monotonicity — p ≺ q
+// Like the pointer-form skyline.SFS, the scan relies on §4.1's monotonicity — p ≺ q
 // implies f(p) < f(q) — holding for the *floating-point* score sum; see the
 // strictness note in DESIGN.md and the pinned limitation test.
 func (pr *Projection) SkylineRangeCtx(ctx context.Context, lo, hi int) ([]int32, error) {

@@ -315,25 +315,6 @@ func TestScoreBitsOrder(t *testing.T) {
 	}
 }
 
-// TestParseKernel pins the kernel-name table.
-func TestParseKernel(t *testing.T) {
-	for s, want := range map[string]flat.Kernel{
-		"": flat.KernelFlat, "flat": flat.KernelFlat, "columnar": flat.KernelFlat,
-		"pointer": flat.KernelPointer, "slice": flat.KernelPointer,
-	} {
-		got, err := flat.ParseKernel(s)
-		if err != nil || got != want {
-			t.Errorf("flat.ParseKernel(%q) = %v, %v; want %v", s, got, err, want)
-		}
-	}
-	if _, err := flat.ParseKernel("gpu"); err == nil {
-		t.Error("flat.ParseKernel(gpu) succeeded, want error")
-	}
-	if flat.KernelFlat.String() != "flat" || flat.KernelPointer.String() != "pointer" {
-		t.Error("Kernel.String mismatch")
-	}
-}
-
 // FuzzFlatKernel drives the equivalence property from fuzzed shape + seed:
 // whatever dataset and preference fall out, flat ≡ naive Comparator scan.
 func FuzzFlatKernel(f *testing.F) {
@@ -367,8 +348,8 @@ func FuzzFlatKernel(f *testing.F) {
 }
 
 // TestScoreTieStrictnessAssumption pins the known SFS-family limitation the
-// flat kernel deliberately shares with the pointer kernel: SFS assumes
-// p ≺ q ⇒ f(p) < f(q) survives floating-point summation, but absorption
+// flat kernel deliberately shares with the pointer-form skyline.SFS: SFS
+// assumes p ≺ q ⇒ f(p) < f(q) survives floating-point summation, but absorption
 // across ~2^53 relative magnitude makes a dominating pair's scores collide
 // (1e17 + 1 == 1e17 in float64), and the dominated point survives the scan.
 // All SFS-family paths must agree with each other — kernel equivalence and

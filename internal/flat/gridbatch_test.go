@@ -16,7 +16,7 @@ import (
 // TestGridMatchesDense is the grid equivalence property: on random schemas ×
 // mutated stores (delta rows + tombstones) × preferences, the grid-pruned
 // scan returns exactly the dense scan's skyline, which in turn equals the
-// pointer-kernel oracle over the materialized live points. Subset scans
+// skyline.SFS oracle over the materialized live points. Subset scans
 // (SkylineOf) are checked under both modes too — the grid must stay sound
 // when the scanned rows are a strict subset of the rows it summarized.
 func TestGridMatchesDense(t *testing.T) {

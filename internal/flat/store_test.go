@@ -30,7 +30,7 @@ func storeSkyline(t testing.TB, snap *flat.Snapshot, pref *order.Preference) []d
 }
 
 // oracleSkyline rebuilds an SFS-D oracle from scratch over the snapshot's
-// live points with the pointer kernel.
+// live points with skyline.SFS.
 func oracleSkyline(t testing.TB, snap *flat.Snapshot, pref *order.Preference) []data.PointID {
 	t.Helper()
 	cmp, err := dominance.NewComparator(snap.Schema(), pref)

@@ -49,7 +49,7 @@ func mutatedStore(t *testing.T, schema *data.Schema, n, card int, rng *rand.Rand
 // TestProjectRowsMatchesDenseProjection: a subset projection over random live
 // rows agrees with the dense projection on scores, dominance, ids and the
 // skyline of that subset (computed two independent ways: subset-projection
-// scan vs dense-projection SkylineOf), and both agree with a pointer-kernel
+// scan vs dense-projection SkylineOf), and both agree with a skyline.SFS
 // oracle over the materialized candidate points.
 func TestProjectRowsMatchesDenseProjection(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))

@@ -152,8 +152,8 @@ func (p *Preference) WithDim(i int, ip *Implicit) (*Preference, error) {
 // Meet returns the coarsest preference that every input refines: on each
 // dimension, the longest common prefix of the inputs' canonical entry lists.
 // Every input satisfies Refines(meet), so dominance under the meet implies
-// dominance under each input — the soundness fact the batch-vectorized
-// kernel's shared scan rests on. All inputs must agree on dimension count
+// dominance under each input — the soundness fact the batch kernel's shared
+// scan rests on. All inputs must agree on dimension count
 // and per-dimension cardinality.
 func Meet(prefs []*Preference) (*Preference, error) {
 	if len(prefs) == 0 {

@@ -9,6 +9,7 @@ import (
 
 	"prefsky/internal/data"
 	"prefsky/internal/dominance"
+	"prefsky/internal/flat"
 	"prefsky/internal/gen"
 	"prefsky/internal/skyline"
 )
@@ -24,6 +25,7 @@ import (
 
 type benchData struct {
 	ds  *data.Dataset
+	blk *flat.Block
 	cmp *dominance.Comparator
 }
 
@@ -63,7 +65,7 @@ func benchFixture(b *testing.B, n int, kind gen.Kind) *benchData {
 	if err != nil {
 		b.Fatal(err)
 	}
-	d := &benchData{ds: ds, cmp: cmp}
+	d := &benchData{ds: ds, blk: flat.NewBlock(ds), cmp: cmp}
 	benchCache[key] = d
 	return d
 }
@@ -104,6 +106,8 @@ func BenchmarkSkylineSequential(b *testing.B) {
 
 // BenchmarkSkylineParallel sweeps partition counts at the ambient GOMAXPROCS
 // plus explicit GOMAXPROCS settings, so one run shows the scaling surface.
+// Each iteration pays the rank projection the partitions share, as a served
+// query does.
 func BenchmarkSkylineParallel(b *testing.B) {
 	procsSweep := []int{1, 2, 4, 8}
 	ambient := runtime.GOMAXPROCS(0)
@@ -123,7 +127,11 @@ func BenchmarkSkylineParallel(b *testing.B) {
 						defer runtime.GOMAXPROCS(prev)
 						b.ResetTimer()
 						for i := 0; i < b.N; i++ {
-							if _, err := Skyline(ctx, d.ds.Points(), d.cmp, parts); err != nil {
+							proj, err := d.blk.Project(d.cmp)
+							if err != nil {
+								b.Fatal(err)
+							}
+							if _, err := SkylineProjected(ctx, proj, parts); err != nil {
 								b.Fatal(err)
 							}
 						}

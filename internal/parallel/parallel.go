@@ -1,7 +1,7 @@
 // Package parallel computes skylines by divide-and-conquer partitioning: the
-// dataset is split into P blocks, each block's local skyline is computed
-// concurrently with SFS (reusing internal/skyline), and the partial skylines
-// are merge-filtered into the global result. It is the multi-core counterpart
+// dataset's rank projection is split into P row ranges, each range's local
+// skyline is computed concurrently with the flat SFS scan, and the partial
+// skylines are merge-filtered into the global result. It is the multi-core counterpart
 // of the SFS-D baseline and composes with the variable-preference model of
 // Wong et al. because every partition shares one dominance comparator per
 // canonical preference.
@@ -36,7 +36,6 @@ import (
 	"prefsky/internal/flat"
 	"prefsky/internal/ipotree"
 	"prefsky/internal/order"
-	"prefsky/internal/skyline"
 )
 
 // minAutoBlock is the smallest block a *defaulted* partition count will
@@ -60,59 +59,6 @@ func normalize(n, partitions int) int {
 		partitions = 1
 	}
 	return partitions
-}
-
-// Skyline computes SKY(points) under cmp using partitions concurrent blocks.
-// partitions <= 0 picks GOMAXPROCS (scaled down for small inputs). The result
-// is ascending point ids, identical to skyline.SFS over the same input. The
-// context cancels the computation between blocks and merge candidates; the
-// first ctx.Err() observed is returned.
-func Skyline(ctx context.Context, points []data.Point, cmp *dominance.Comparator, partitions int) ([]data.PointID, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	n := len(points)
-	partitions = normalize(n, partitions)
-	if partitions <= 1 {
-		return localScan(ctx, points, cmp)
-	}
-
-	// Phase 1: concurrent per-block SFS. Blocks are contiguous slices of the
-	// input; no points are copied. Each local skyline comes back in ascending
-	// f order with its scores, which the merge phase uses for pruning.
-	blocks := split(points, partitions)
-	locals := make([]Local, len(blocks))
-	errs := make([]error, len(blocks))
-	var wg sync.WaitGroup
-	for i, blk := range blocks {
-		wg.Add(1)
-		go func(i int, blk []data.Point) {
-			defer wg.Done()
-			locals[i], errs[i] = localSkyline(ctx, blk, cmp)
-		}(i, blk)
-	}
-	wg.Wait()
-	if err := firstError(errs); err != nil {
-		return nil, err
-	}
-
-	// Phase 2: concurrent merge-filter. A survivor of block i stays iff no
-	// local skyline point of another block dominates it (see the package
-	// comment for why other blocks' non-skyline points need not be checked).
-	survivors := make([][]data.PointID, len(locals))
-	for i := range locals {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			survivors[i], errs[i] = mergeFilter(ctx, cmp, i, locals)
-		}(i)
-	}
-	wg.Wait()
-	if err := firstError(errs); err != nil {
-		return nil, err
-	}
-
-	return collectSurvivors(survivors), nil
 }
 
 // collectSurvivors flattens the per-block survivor lists into one ascending
@@ -222,19 +168,6 @@ func flatMergeFilter(ctx context.Context, proj *flat.Projection, i int, locals [
 	return out, nil
 }
 
-// split cuts points into p contiguous blocks of near-equal size.
-func split(points []data.Point, p int) [][]data.Point {
-	n := len(points)
-	blocks := make([][]data.Point, 0, p)
-	for i := 0; i < p; i++ {
-		lo, hi := i*n/p, (i+1)*n/p
-		if lo < hi {
-			blocks = append(blocks, points[lo:hi])
-		}
-	}
-	return blocks
-}
-
 // Local is one block's local skyline in ascending f order plus the matching
 // §4.1 scores, the merge phase's pruning key. The coordinator of the
 // distributed serving tier decodes remote shard partials into this form and
@@ -290,33 +223,6 @@ func MergeLocals(ctx context.Context, cmp *dominance.Comparator, locals []Local)
 		return nil, err
 	}
 	return collectSurvivors(survivors), nil
-}
-
-// localSkyline runs SFS over one block, polling the context between yielded
-// skyline points.
-func localSkyline(ctx context.Context, block []data.Point, cmp *dominance.Comparator) (Local, error) {
-	it := skyline.NewIterator(block, cmp)
-	var out Local
-	for {
-		if err := ctx.Err(); err != nil {
-			return Local{}, err
-		}
-		p, ok := it.Next()
-		if !ok {
-			return out, nil
-		}
-		out.Points = append(out.Points, p)
-		out.Scores = append(out.Scores, cmp.Score(&p))
-	}
-}
-
-// localScan is the single-partition fast path: plain SFS with a context check
-// up front (the caller already checked, but keep the invariant local).
-func localScan(ctx context.Context, points []data.Point, cmp *dominance.Comparator) ([]data.PointID, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return skyline.SFS(points, cmp), nil
 }
 
 // mergeFilter keeps the points of locals[i] not dominated by any local
@@ -381,37 +287,26 @@ func firstError(errs []error) error {
 }
 
 // Engine is the "parallel-sfs" core engine: SFS-D divided over P blocks per
-// query. It needs no per-preference preprocessing; on the default flat
-// kernel it reads a versioned columnar store (a mirror of the base data, not
-// an index — SizeBytes stays zero like SFS-D), so each query grabs the
-// current snapshot lock-free, pays only the O(N·l) rank projection shared by
-// all partitions, and never blocks behind Insert/Delete writers. It is safe
-// for concurrent use.
+// query. It needs no per-preference preprocessing; it reads a versioned
+// columnar store (a mirror of the base data, not an index — SizeBytes stays
+// zero like SFS-D), so each query grabs the current snapshot lock-free, pays
+// only the O(N·l) rank projection shared by all partitions, and never blocks
+// behind Insert/Delete writers. It is safe for concurrent use.
 type Engine struct {
-	ds    *data.Dataset // pointer-kernel data (nil on the flat kernel)
-	store *flat.Store   // nil on the pointer kernel
+	store *flat.Store
 	parts int
 	grid  flat.GridMode // grid pruning for the partition scans
 
 	queries atomic.Uint64
 }
 
-// New wraps a dataset as a partitioned SFS engine on the default (flat)
-// kernel. partitions <= 0 defaults to GOMAXPROCS at query time.
+// New wraps a dataset as a partitioned SFS engine over a private versioned
+// store. partitions <= 0 defaults to GOMAXPROCS at query time.
 func New(ds *data.Dataset, partitions int) (*Engine, error) {
-	return NewKernel(ds, partitions, flat.KernelFlat)
-}
-
-// NewKernel is New with an explicit kernel choice; KernelPointer keeps the
-// original per-point slice scan (immutable, not maintainable).
-func NewKernel(ds *data.Dataset, partitions int, kernel flat.Kernel) (*Engine, error) {
 	if ds == nil {
 		return nil, fmt.Errorf("parallel: nil dataset")
 	}
-	if kernel == flat.KernelFlat {
-		return NewFromStore(flat.NewStore(ds, 0), partitions)
-	}
-	return &Engine{ds: ds, parts: partitions}, nil
+	return NewFromStore(flat.NewStore(ds, 0), partitions)
 }
 
 // NewFromStore wraps an existing versioned store as a partitioned SFS engine
@@ -431,32 +326,25 @@ func (e *Engine) Partitions() int { return e.parts }
 // the default). Call it at configuration time, before queries run.
 func (e *Engine) SetGridMode(m flat.GridMode) { e.grid = m }
 
-// Store returns the versioned store (nil on the pointer kernel).
+// Store returns the versioned store the engine reads.
 func (e *Engine) Store() *flat.Store { return e.store }
 
 // Skyline answers SKY(pref) with the partitioned scan over the current
 // snapshot.
 func (e *Engine) Skyline(ctx context.Context, pref *order.Preference) ([]data.PointID, error) {
 	e.queries.Add(1)
-	if e.store != nil {
-		snap := e.store.Snapshot()
-		cmp, err := dominance.NewComparator(snap.Schema(), pref)
-		if err != nil {
-			return nil, err
-		}
-		proj, err := snap.Project(cmp)
-		if err != nil {
-			return nil, err
-		}
-		// All partition scans share the projection — and, lazily, its grid.
-		proj.SetGridMode(e.grid)
-		return SkylineProjected(ctx, proj, e.parts)
-	}
-	cmp, err := dominance.NewComparator(e.ds.Schema(), pref)
+	snap := e.store.Snapshot()
+	cmp, err := dominance.NewComparator(snap.Schema(), pref)
 	if err != nil {
 		return nil, err
 	}
-	return Skyline(ctx, e.ds.Points(), cmp, e.parts)
+	proj, err := snap.Project(cmp)
+	if err != nil {
+		return nil, err
+	}
+	// All partition scans share the projection — and, lazily, its grid.
+	proj.SetGridMode(e.grid)
+	return SkylineProjected(ctx, proj, e.parts)
 }
 
 // SizeBytes reports zero: like SFS-D the engine keeps no index. The columnar
@@ -464,14 +352,8 @@ func (e *Engine) Skyline(ctx context.Context, pref *order.Preference) ([]data.Po
 // BlockBytes), not preference-dependent storage in the paper's §5 sense.
 func (e *Engine) SizeBytes() int { return 0 }
 
-// BlockBytes reports the columnar store's footprint (0 on the pointer
-// kernel).
-func (e *Engine) BlockBytes() int {
-	if e.store == nil {
-		return 0
-	}
-	return e.store.Snapshot().SizeBytes()
-}
+// BlockBytes reports the columnar store's footprint.
+func (e *Engine) BlockBytes() int { return e.store.Snapshot().SizeBytes() }
 
 // Queries returns the number of Skyline calls served.
 func (e *Engine) Queries() uint64 { return e.queries.Load() }
@@ -488,7 +370,7 @@ type Stats struct {
 // the single-threaded SFS-A fallback of internal/hybrid — the slow path is
 // exactly where multi-core helps.
 //
-// On the flat kernel both halves read one versioned store: the tree is
+// Both halves read one versioned store: the tree is
 // version-gated (it answers only while the snapshot version matches its
 // build), mutations route every query to the partitioned scan over the live
 // snapshot, and compaction rebuilds the tree in the background.
@@ -502,31 +384,13 @@ type Hybrid struct {
 	fallbacks atomic.Int64
 }
 
-// NewHybrid builds the tree and the partitioned fallback over one dataset on
-// the default (flat) kernel.
+// NewHybrid builds the tree and the partitioned fallback over one dataset's
+// private versioned store.
 func NewHybrid(ds *data.Dataset, template *order.Preference, treeOpts ipotree.Options, partitions int) (*Hybrid, error) {
-	return NewHybridKernel(ds, template, treeOpts, partitions, flat.KernelFlat)
-}
-
-// NewHybridKernel is NewHybrid with an explicit kernel for the fallback scan.
-func NewHybridKernel(ds *data.Dataset, template *order.Preference, treeOpts ipotree.Options, partitions int, kernel flat.Kernel) (*Hybrid, error) {
 	if ds == nil {
 		return nil, fmt.Errorf("parallel: nil dataset")
 	}
-	if kernel == flat.KernelFlat {
-		return NewHybridFromStore(flat.NewStore(ds, 0), template, treeOpts, partitions)
-	}
-	tree, err := ipotree.Build(ds, template, treeOpts)
-	if err != nil {
-		return nil, fmt.Errorf("parallel: building tree: %w", err)
-	}
-	par, err := NewKernel(ds, partitions, kernel)
-	if err != nil {
-		return nil, err
-	}
-	h := &Hybrid{template: tree.Template(), treeOpts: treeOpts, par: par}
-	h.vt.Store(ipotree.NewVersioned(tree, 0, nil))
-	return h, nil
+	return NewHybridFromStore(flat.NewStore(ds, 0), template, treeOpts, partitions)
 }
 
 // NewHybridFromStore builds the parallel hybrid against an existing
@@ -564,8 +428,7 @@ func (h *Hybrid) Skyline(ctx context.Context, pref *order.Preference) ([]data.Po
 		return nil, err
 	}
 	vt := h.vt.Load()
-	st := h.par.Store()
-	if st == nil || vt.Version() == st.Version() {
+	if vt.Version() == h.par.Store().Version() {
 		ids, err := vt.Query(pref)
 		if err == nil {
 			h.treeHits.Add(1)
@@ -595,8 +458,7 @@ func (h *Hybrid) ValidatePreference(pref *order.Preference) error {
 // the default). Call it at configuration time, before queries run.
 func (h *Hybrid) SetGridMode(m flat.GridMode) { h.par.SetGridMode(m) }
 
-// Store returns the versioned store both halves read (nil on the pointer
-// kernel).
+// Store returns the versioned store both halves read.
 func (h *Hybrid) Store() *flat.Store { return h.par.Store() }
 
 // Tree exposes the current IPO-tree build (metrics, tests).

@@ -43,8 +43,18 @@ func randomFixture(t testing.TB, n, numDims, nomDims, card int, seed int64) (*da
 	return ds, cmps
 }
 
-// TestSkylineMatchesSFS is the correctness property of the tentpole: for
-// random datasets × random preferences × partition counts 1..8, the
+// project builds the flat rank projection of the whole dataset under cmp.
+func project(t testing.TB, ds *data.Dataset, cmp *dominance.Comparator) *flat.Projection {
+	t.Helper()
+	proj, err := flat.NewBlock(ds).Project(cmp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return proj
+}
+
+// TestSkylineMatchesSFS is the correctness property of the partitioned scan:
+// for random datasets × random preferences × partition counts 1..8, the
 // partitioned merge-filtered skyline is identical to sequential SFS (SFS-D).
 func TestSkylineMatchesSFS(t *testing.T) {
 	cases := []struct {
@@ -63,8 +73,9 @@ func TestSkylineMatchesSFS(t *testing.T) {
 			ds, cmps := randomFixture(t, c.n, c.numDims, c.nomDims, c.card, c.seed)
 			for qi, cmp := range cmps {
 				want := skyline.SFS(ds.Points(), cmp)
+				proj := project(t, ds, cmp)
 				for parts := 1; parts <= 8; parts++ {
-					got, err := Skyline(context.Background(), ds.Points(), cmp, parts)
+					got, err := SkylineProjected(context.Background(), proj, parts)
 					if err != nil {
 						t.Fatalf("query %d parts %d: %v", qi, parts, err)
 					}
@@ -83,7 +94,7 @@ func TestSkylineDefaultPartitions(t *testing.T) {
 	ds, cmps := randomFixture(t, 1200, 2, 2, 6, 9)
 	for _, cmp := range cmps {
 		want := skyline.SFS(ds.Points(), cmp)
-		got, err := Skyline(context.Background(), ds.Points(), cmp, 0)
+		got, err := SkylineProjected(context.Background(), project(t, ds, cmp), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,13 +208,13 @@ func TestHybridRoutesAndMatches(t *testing.T) {
 }
 
 // TestCanceledContext: an already-canceled context aborts before any work,
-// through both the raw function and the engines.
+// through both the raw function and the engine.
 func TestCanceledContext(t *testing.T) {
 	ds, cmps := randomFixture(t, 200, 2, 2, 5, 31)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Skyline(ctx, ds.Points(), cmps[0], 4); !errors.Is(err, context.Canceled) {
-		t.Errorf("Skyline error = %v, want context.Canceled", err)
+	if _, err := SkylineProjected(ctx, project(t, ds, cmps[0]), 4); !errors.Is(err, context.Canceled) {
+		t.Errorf("SkylineProjected error = %v, want context.Canceled", err)
 	}
 	e, err := New(ds, 4)
 	if err != nil {
@@ -219,18 +230,23 @@ func TestDeadlineExceeded(t *testing.T) {
 	ds, cmps := randomFixture(t, 200, 2, 2, 5, 37)
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	if _, err := Skyline(ctx, ds.Points(), cmps[0], 4); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := SkylineProjected(ctx, project(t, ds, cmps[0]), 4); !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("error = %v, want context.DeadlineExceeded", err)
 	}
 }
 
 // TestConcurrentCancellation races cancellation against running queries
-// under -race: every outcome must be either a correct result or a context
-// error, never a panic or a wrong skyline.
+// through the served path — Engine.Skyline, one projection per query — under
+// -race: every outcome must be either a correct result or a context error,
+// never a panic or a wrong skyline.
 func TestConcurrentCancellation(t *testing.T) {
 	ds, cmps := randomFixture(t, 2000, 3, 2, 6, 41)
 	cmp := cmps[0]
 	want := skyline.SFS(ds.Points(), cmp)
+	e, err := New(ds, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -245,7 +261,7 @@ func TestConcurrentCancellation(t *testing.T) {
 				close(done)
 			}()
 			for j := 0; j < 4; j++ {
-				got, err := Skyline(ctx, ds.Points(), cmp, 8)
+				got, err := e.Skyline(ctx, cmp.Preference())
 				if err != nil {
 					if !errors.Is(err, context.Canceled) {
 						t.Errorf("unexpected error: %v", err)
@@ -317,42 +333,31 @@ func TestSkylineProjectedMatchesSFS(t *testing.T) {
 	}
 }
 
-// TestEngineKernelsAgree: the flat-kernel engine (default) and the pointer
-// engine answer identically, and the flat engine reports its columnar mirror.
+// TestEngineKernelsAgree: the engine answers exactly like the sequential SFS
+// oracle over the dataset's points, and reports its columnar mirror.
 func TestEngineKernelsAgree(t *testing.T) {
 	ds, cmps := randomFixture(t, 600, 2, 2, 5, 61)
-	flatEng, err := New(ds, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ptrEng, err := NewKernel(ds, 4, flat.KernelPointer)
+	e, err := New(ds, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, cmp := range cmps {
-		pref := cmp.Preference()
-		want, err := ptrEng.Skyline(context.Background(), pref)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := flatEng.Skyline(context.Background(), pref)
+		want := skyline.SFS(ds.Points(), cmp)
+		got, err := e.Skyline(context.Background(), cmp.Preference())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("kernels diverged: flat %v, pointer %v", got, want)
+			t.Fatalf("engine diverged from SFS: got %v, want %v", got, want)
 		}
 	}
-	if flatEng.BlockBytes() == 0 {
-		t.Error("flat engine BlockBytes = 0, want > 0")
-	}
-	if ptrEng.BlockBytes() != 0 {
-		t.Errorf("pointer engine BlockBytes = %d, want 0", ptrEng.BlockBytes())
+	if e.BlockBytes() == 0 {
+		t.Error("engine BlockBytes = 0, want > 0")
 	}
 }
 
-// TestSkylineProjectedCanceled: the flat partitioned path observes
-// cancellation like the pointer path.
+// TestSkylineProjectedCanceled: a canceled context aborts the partitioned
+// scan over a block's projection.
 func TestSkylineProjectedCanceled(t *testing.T) {
 	ds, cmps := randomFixture(t, 300, 2, 2, 5, 71)
 	blk := flat.NewBlock(ds)

@@ -72,21 +72,6 @@ func TestDurableDatasetSurvivesRestart(t *testing.T) {
 	}
 }
 
-// TestDurableRejectsPointerKernel: the pointer kernel rebuilds per-point
-// structures from the dataset and cannot serve a recovered store.
-func TestDurableRejectsPointerKernel(t *testing.T) {
-	svc := New(Options{})
-	defer svc.Close()
-	err := svc.AddDataset("pkg", data.Table1(), EngineConfig{
-		Kind:    "sfsd",
-		Kernel:  "pointer",
-		Durable: &durable.Config{Dir: t.TempDir(), Fsync: durable.FsyncOff},
-	})
-	if err == nil {
-		t.Fatal("pointer kernel accepted for a durable dataset")
-	}
-}
-
 // TestRemoveClosesDurableState: removing a durable dataset must release its
 // WAL so the directory can be registered again in-process.
 func TestRemoveClosesDurableState(t *testing.T) {

@@ -82,13 +82,12 @@ type QueryResult struct {
 // goroutines without limit. Cache and semantic hits never take a slot, so
 // they stay unaffected by overload.
 type Executor struct {
-	reg        *Registry
-	cache      *Cache
-	sem        chan struct{}
-	timeout    time.Duration
-	semLimit   int  // max candidate rows for the semantic path; < 0 disables
-	vectorized bool // batch misses share one flat.SkylineBatch pass
-	maxQueued  int  // admission-queue cap; < 0 means unbounded
+	reg       *Registry
+	cache     *Cache
+	sem       chan struct{}
+	timeout   time.Duration
+	semLimit  int // max candidate rows for the semantic path; < 0 disables
+	maxQueued int // admission-queue cap; < 0 means unbounded
 
 	queries atomic.Uint64
 	batches atomic.Uint64
@@ -117,12 +116,8 @@ func NewExecutor(reg *Registry, cache *Cache, workers int, timeout time.Duration
 	if maxQueued == 0 {
 		maxQueued = DefaultQueueFactor * workers
 	}
-	return &Executor{reg: reg, cache: cache, sem: make(chan struct{}, workers), timeout: timeout, semLimit: semanticLimit, maxQueued: maxQueued, vectorized: true}
+	return &Executor{reg: reg, cache: cache, sem: make(chan struct{}, workers), timeout: timeout, semLimit: semanticLimit, maxQueued: maxQueued}
 }
-
-// SetVectorizedBatch toggles the shared-scan batch path (on by default).
-// Disabled, batch misses fan out across the pool as independent queries.
-func (x *Executor) SetVectorizedBatch(enabled bool) { x.vectorized = enabled }
 
 // Workers returns the pool bound.
 func (x *Executor) Workers() int { return cap(x.sem) }
@@ -209,8 +204,18 @@ func (x *Executor) Query(ctx context.Context, dataset string, pref *order.Prefer
 	return x.queryCanonical(ctx, dataset, pref.Canonical())
 }
 
+// withTimeout applies the per-query deadline, if one is configured.
+func (x *Executor) withTimeout(ctx context.Context) (context.Context, context.CancelFunc) {
+	if x.timeout > 0 {
+		return context.WithTimeout(ctx, x.timeout)
+	}
+	return ctx, func() {}
+}
+
 // queryCanonical is Query after canonicalization and accounting: pref must
-// already be canonical and counted against the query counter.
+// already be canonical and counted against the query counter. It probes the
+// cache — exact key, then the refinement lattice — and runs the engine on a
+// miss.
 func (x *Executor) queryCanonical(ctx context.Context, dataset string, pref *order.Preference) (ids []data.PointID, outcome Outcome, err error) {
 	state, err := x.reg.State(dataset)
 	if err != nil {
@@ -220,22 +225,26 @@ func (x *Executor) queryCanonical(ctx context.Context, dataset string, pref *ord
 	if ids, ok := x.cache.Get(key); ok {
 		return ids, OutcomeExact, nil
 	}
-	if x.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, x.timeout)
-		defer cancel()
-	}
+	ctx, cancel := x.withTimeout(ctx)
+	defer cancel()
 	if ids, ok := x.semanticHit(ctx, dataset, state, key, pref); ok {
 		return ids, OutcomeSemantic, nil
 	}
+	ids, err = x.queryEngine(ctx, dataset, pref)
+	return ids, OutcomeEngine, err
+}
+
+// queryEngine runs a canonical preference that has already missed the cache
+// on the dataset's engine under one worker slot, caching the result.
+func (x *Executor) queryEngine(ctx context.Context, dataset string, pref *order.Preference) ([]data.PointID, error) {
 	release, err := x.acquireSlot(ctx)
 	if err != nil {
-		return nil, OutcomeEngine, err
+		return nil, err
 	}
 	defer release()
-	ids, state, err = x.reg.Query(ctx, dataset, pref)
+	ids, state, err := x.reg.Query(ctx, dataset, pref)
 	if err != nil {
-		return nil, OutcomeEngine, err
+		return nil, err
 	}
 	// An empty state means a writer published while the engine ran: the
 	// result is a valid point-in-time answer but names no single version, so
@@ -243,7 +252,7 @@ func (x *Executor) queryCanonical(ctx context.Context, dataset string, pref *ord
 	if state != "" {
 		x.cache.Put(cacheKey(dataset, state, pref.CacheKey()), dataset, state, ids)
 	}
-	return ids, OutcomeEngine, nil
+	return ids, nil
 }
 
 // semanticHit probes the refinement lattice on an exact-key miss: if a
@@ -267,9 +276,9 @@ func (x *Executor) semanticHit(ctx context.Context, dataset, state, key string, 
 		}
 		ids, served, err := x.reg.QueryCandidates(ctx, dataset, state, pref, cand)
 		if err != nil || !served {
-			// The store moved past the cached state, the engine has no
-			// versioned store, or the preference/context failed — all cases
-			// where the cold path must decide.
+			// The store moved past the cached state, or the
+			// preference/context failed — all cases where the cold path must
+			// decide.
 			return nil, false
 		}
 		x.cache.Put(key, dataset, state, ids)
@@ -293,9 +302,9 @@ type batchGroup struct {
 // the result fanned back to every index that asked for it. Distinct members
 // then probe the cache (exact key, then the refinement lattice), and the
 // remaining misses run as one shared-scan registry pass (flat.SkylineBatch)
-// under a single worker slot. When the vectorized path is disabled or the
-// registry declines it (pointer-kernel engine, members sharing too little
-// structure), misses fan out across the pool as independent queries.
+// under a single worker slot. A single miss, or misses sharing too little
+// structure for the shared scan (flat.ErrBatchWindow), run on the engine as
+// independent queries across the pool, without probing the cache again.
 //
 // Results are positional; each carries its own error so one bad preference
 // does not fail the batch, but a canceled context fails every member still
@@ -337,29 +346,31 @@ func (x *Executor) Batch(ctx context.Context, dataset string, prefs []*order.Pre
 		}
 	}
 
-	misses := groups
-	if x.vectorized {
-		if state, err := x.reg.State(dataset); err == nil {
-			misses = make([]batchGroup, 0, len(groups))
-			for _, g := range groups {
-				key := cacheKey(dataset, state, g.pref.CacheKey())
-				if ids, ok := x.cache.Get(key); ok {
-					fan(g, ids, OutcomeExact, nil)
-					continue
-				}
-				if ids, ok := x.semanticHit(ctx, dataset, state, key, g.pref); ok {
-					fan(g, ids, OutcomeSemantic, nil)
-					continue
-				}
-				misses = append(misses, g)
-			}
-			if len(misses) == 0 {
-				return out
-			}
-			if len(misses) > 1 && x.batchEngine(ctx, dataset, misses, fan) {
-				return out
-			}
+	state, err := x.reg.State(dataset)
+	if err != nil {
+		for _, g := range groups {
+			fan(g, nil, OutcomeEngine, err)
 		}
+		return out
+	}
+	misses := make([]batchGroup, 0, len(groups))
+	for _, g := range groups {
+		key := cacheKey(dataset, state, g.pref.CacheKey())
+		if ids, ok := x.cache.Get(key); ok {
+			fan(g, ids, OutcomeExact, nil)
+			continue
+		}
+		if ids, ok := x.semanticHit(ctx, dataset, state, key, g.pref); ok {
+			fan(g, ids, OutcomeSemantic, nil)
+			continue
+		}
+		misses = append(misses, g)
+	}
+	if len(misses) == 0 {
+		return out
+	}
+	if len(misses) > 1 && x.batchEngine(ctx, dataset, misses, fan) {
+		return out
 	}
 
 	var wg sync.WaitGroup
@@ -367,8 +378,10 @@ func (x *Executor) Batch(ctx context.Context, dataset string, prefs []*order.Pre
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ids, oc, err := x.queryCanonical(ctx, dataset, g.pref)
-			fan(g, ids, oc, err)
+			ctx, cancel := x.withTimeout(ctx)
+			defer cancel()
+			ids, err := x.queryEngine(ctx, dataset, g.pref)
+			fan(g, ids, OutcomeEngine, err)
 		}()
 	}
 	wg.Wait()
@@ -381,11 +394,8 @@ func (x *Executor) Batch(ctx context.Context, dataset string, prefs []*order.Pre
 // with nothing fanned — when the registry declines the shared scan or fails
 // outright, letting the caller fall back to independent queries.
 func (x *Executor) batchEngine(ctx context.Context, dataset string, groups []batchGroup, fan func(batchGroup, []data.PointID, Outcome, error)) bool {
-	if x.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, x.timeout)
-		defer cancel()
-	}
+	ctx, cancel := x.withTimeout(ctx)
+	defer cancel()
 	release, err := x.acquireSlot(ctx)
 	if err != nil {
 		// Canceled while queued or shed at admission — nothing will serve

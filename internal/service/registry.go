@@ -22,9 +22,8 @@ import (
 var (
 	ErrUnknownDataset   = errors.New("service: unknown dataset")
 	ErrDuplicateDataset = errors.New("service: dataset already registered")
-	// ErrNotMaintainable reports a mutation against a dataset that cannot
-	// take one: explicitly frozen (EngineConfig.ReadOnly) or served by a
-	// legacy pointer-kernel engine.
+	// ErrNotMaintainable reports a mutation against a dataset that was
+	// explicitly frozen (EngineConfig.ReadOnly).
 	ErrNotMaintainable = errors.New("service: dataset does not accept maintenance")
 	// ErrUnknownPoint re-exports the store's sentinel for deletes naming an
 	// id that was never assigned or is already deleted.
@@ -47,10 +46,6 @@ type EngineConfig struct {
 	Tree ipotree.Options
 	// Partitions is the block count for the parallel kinds (0 = GOMAXPROCS).
 	Partitions int
-	// Kernel selects the scan kernel for the scan-based kinds: "" or "flat"
-	// for the columnar store kernel (queries project the live snapshot),
-	// "pointer" for the original per-point kernel (immutable).
-	Kernel string
 	// CompactThreshold tunes the versioned store: the delta+tombstone row
 	// count that triggers background compaction. 0 means the default
 	// (flat.DefaultCompactThreshold), negative disables automatic
@@ -66,8 +61,8 @@ type EngineConfig struct {
 	// Durable, when non-nil, persists the dataset under Durable.Dir: the
 	// engine's store is recovered from the directory's checkpoint + WAL (the
 	// registered dataset seeds it only on first open) and every mutation is
-	// write-ahead logged. Requires the flat kernel. Durable.CompactThreshold
-	// left zero inherits CompactThreshold above.
+	// write-ahead logged. Durable.CompactThreshold left zero inherits
+	// CompactThreshold above.
 	Durable *durable.Config
 }
 
@@ -103,25 +98,19 @@ type dsEntry struct {
 	name      string
 	epoch     uint64
 	schema    *data.Schema
-	ds        *data.Dataset // registration-time data (pointer-kernel reads)
-	store     *flat.Store   // nil for pointer-kernel engines
+	store     *flat.Store
 	eng       core.Engine
 	dur       *durable.DB              // nil for memory-only datasets
 	maint     core.Maintainer          // nil when unsupported or read-only
 	validator core.PreferenceValidator // nil when the engine accepts everything
 	readOnly  bool
-	grid      flat.GridMode // grid pruning for the batch-vectorized scans
+	grid      flat.GridMode // grid pruning for the shared batch scans
 
 	queries atomic.Uint64
 }
 
 // version returns the data version the entry's query results reflect.
-func (e *dsEntry) version() uint64 {
-	if e.store != nil {
-		return e.store.Version()
-	}
-	return 0
-}
+func (e *dsEntry) version() uint64 { return e.store.Version() }
 
 // state renders the cache-state token "epoch.version" for a version.
 func (e *dsEntry) state(version uint64) string {
@@ -167,10 +156,6 @@ func (r *Registry) Add(name string, ds *data.Dataset, cfg EngineConfig) error {
 	if tmpl == nil {
 		tmpl = ds.Schema().EmptyPreference()
 	}
-	kernel, err := flat.ParseKernel(cfg.Kernel)
-	if err != nil {
-		return fmt.Errorf("service: dataset %q: %w", name, err)
-	}
 	grid, err := flat.ParseGridMode(cfg.Grid)
 	if err != nil {
 		return fmt.Errorf("service: dataset %q: %w", name, err)
@@ -178,16 +163,12 @@ func (r *Registry) Add(name string, ds *data.Dataset, cfg EngineConfig) error {
 	opts := core.Options{
 		Tree:             cfg.Tree,
 		Partitions:       cfg.Partitions,
-		Kernel:           kernel,
 		CompactThreshold: cfg.CompactThreshold,
 		Grid:             grid,
 	}
 	var eng core.Engine
 	var db *durable.DB
 	if cfg.Durable != nil {
-		if kernel == core.KernelPointer {
-			return fmt.Errorf("service: dataset %q: the pointer kernel cannot be durable", name)
-		}
 		dcfg := *cfg.Durable
 		if dcfg.CompactThreshold == 0 {
 			dcfg.CompactThreshold = cfg.CompactThreshold
@@ -209,7 +190,6 @@ func (r *Registry) Add(name string, ds *data.Dataset, cfg EngineConfig) error {
 	e := &dsEntry{
 		name:      name,
 		schema:    ds.Schema(),
-		ds:        ds,
 		store:     core.StoreOf(eng),
 		eng:       eng,
 		dur:       db,
@@ -315,12 +295,10 @@ func (r *Registry) Info() []DatasetInfo {
 			Version:      e.version(),
 			Health:       durable.HealthOK.String(),
 		}
-		if e.store != nil {
-			st := e.store.Stats()
-			info.Store = &st
-			gs := e.store.GridStats()
-			info.Grid = &gs
-		}
+		st := e.store.Stats()
+		info.Store = &st
+		gs := e.store.GridStats()
+		info.Grid = &gs
 		if e.dur != nil {
 			d := e.dur.Stats()
 			info.Durability = &d
@@ -333,12 +311,7 @@ func (r *Registry) Info() []DatasetInfo {
 }
 
 // liveN reports the current point count through the store's snapshot.
-func (e *dsEntry) liveN() int {
-	if e.store != nil {
-		return e.store.Snapshot().LiveN()
-	}
-	return e.ds.N()
-}
+func (e *dsEntry) liveN() int { return e.store.Snapshot().LiveN() }
 
 // Schema returns the dataset's schema, used to parse incoming preferences.
 func (r *Registry) Schema(name string) (*data.Schema, error) {
@@ -400,8 +373,8 @@ func (r *Registry) Query(ctx context.Context, name string, pref *order.Preferenc
 // coarser one, so a coarser preference's skyline cached at that state
 // qualifies). The current snapshot is pinned first and its state compared
 // against state: on mismatch — the data moved since the candidates were
-// cached, or the engine has no versioned store — ok is false, nothing is
-// computed, and the caller falls back to a full query. Because the whole
+// cached — ok is false, nothing is computed, and the caller falls back to a
+// full query. Because the whole
 // computation runs against the pinned snapshot, a true ok is exact for that
 // state even if writers publish concurrently, so the result is cacheable
 // under the same token.
@@ -409,9 +382,6 @@ func (r *Registry) QueryCandidates(ctx context.Context, name, state string, pref
 	e, err := r.entry(name)
 	if err != nil {
 		return nil, false, err
-	}
-	if e.store == nil {
-		return nil, false, nil
 	}
 	snap := e.store.Snapshot()
 	if e.state(snap.Version()) != state {
@@ -470,19 +440,15 @@ type BatchItem struct {
 // path would reject carry their validation error individually; the rest
 // share one result set.
 //
-// ok is false — with nothing computed — when the dataset has no versioned
-// store (pointer kernel) or the members share too little structure for the
-// shared scan to pay (flat.ErrBatchWindow); the caller then falls back to
-// independent queries. The state token follows the same before/after version
+// ok is false — with nothing computed — when the members share too little
+// structure for the shared scan to pay (flat.ErrBatchWindow); the caller
+// then falls back to independent queries. The state token follows the same before/after version
 // protocol as Query: empty means a writer raced and the results must not be
 // cached.
 func (r *Registry) QueryBatch(ctx context.Context, name string, prefs []*order.Preference) (items []BatchItem, state string, ok bool, err error) {
 	e, err := r.entry(name)
 	if err != nil {
 		return nil, "", false, err
-	}
-	if e.store == nil {
-		return nil, "", false, nil
 	}
 	items = make([]BatchItem, len(prefs))
 	run := make([]*order.Preference, 0, len(prefs))
@@ -527,11 +493,7 @@ func (r *Registry) maintainer(name string) (*dsEntry, core.Maintainer, error) {
 		return nil, nil, err
 	}
 	if e.maint == nil {
-		why := "runs " + e.eng.Name()
-		if e.readOnly {
-			why = "is read-only"
-		}
-		return nil, nil, fmt.Errorf("%w: %q %s", ErrNotMaintainable, name, why)
+		return nil, nil, fmt.Errorf("%w: %q is read-only", ErrNotMaintainable, name)
 	}
 	return e, e.maint, nil
 }
@@ -630,11 +592,5 @@ func (r *Registry) Point(name string, id data.PointID) (data.Point, error) {
 	if err != nil {
 		return data.Point{}, err
 	}
-	if e.store != nil {
-		return e.store.Snapshot().Point(id)
-	}
-	if int(id) < 0 || int(id) >= e.ds.N() {
-		return data.Point{}, fmt.Errorf("%w: %d out of range [0,%d)", ErrUnknownPoint, id, e.ds.N())
-	}
-	return e.ds.Point(id), nil
+	return e.store.Snapshot().Point(id)
 }

@@ -55,11 +55,6 @@ type Options struct {
 	// defaults to DefaultSemanticCandidateLimit (4096), negative disables
 	// the semantic path entirely.
 	SemanticCandidateLimit int
-	// DisableVectorizedBatch turns off the shared-scan batch path: batch
-	// misses fan out across the worker pool as independent queries instead
-	// of sharing one flat.SkylineBatch pass. Canonical dedup of batch
-	// members stays on either way.
-	DisableVectorizedBatch bool
 	// MaxQueuedQueries bounds how many engine queries may wait for a worker
 	// slot before new ones are shed with ErrOverloaded (503 + Retry-After at
 	// the HTTP layer). 0 defaults to DefaultQueueFactor×Workers, negative
@@ -102,7 +97,6 @@ func New(opts Options) *Service {
 	reg := NewRegistry()
 	cache := NewCache(capacity, opts.CacheShards)
 	exec := NewExecutor(reg, cache, opts.Workers, opts.QueryTimeout, opts.SemanticCandidateLimit, opts.MaxQueuedQueries)
-	exec.SetVectorizedBatch(!opts.DisableVectorizedBatch)
 	return &Service{reg: reg, cache: cache, exec: exec}
 }
 

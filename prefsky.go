@@ -105,9 +105,6 @@ type (
 	Engine = core.Engine
 	// EngineOptions configures engine construction for NewEngineByName.
 	EngineOptions = core.Options
-	// Kernel selects the scan kernel for the scan-based engines: the
-	// columnar flat kernel (default) or the original pointer kernel.
-	Kernel = core.Kernel
 	// TreeOptions configures IPO-tree construction.
 	TreeOptions = ipotree.Options
 	// TreeStats reports IPO-tree construction measurements.
@@ -119,11 +116,11 @@ type (
 	// iteration and incremental maintenance.
 	MaintainableEngine = adaptive.Engine
 	// Maintainer applies §4.3 incremental maintenance (Insert/Delete) to an
-	// engine; every flat-kernel engine supports it.
+	// engine; every engine this package builds supports it.
 	Maintainer = core.Maintainer
-	// VersionedStore is the snapshot-isolated columnar store every
-	// flat-kernel engine reads: queries grab an immutable snapshot lock-free
-	// while writers publish new versions.
+	// VersionedStore is the snapshot-isolated columnar store every engine
+	// reads: queries grab an immutable snapshot lock-free while writers
+	// publish new versions.
 	VersionedStore = flat.Store
 	// StoreSnapshot is one immutable version of a VersionedStore.
 	StoreSnapshot = flat.Snapshot
@@ -216,11 +213,11 @@ var (
 	// EngineKinds lists the names NewEngineByName accepts.
 	EngineKinds = core.Kinds
 	// MaintainableOf returns the engine's maintenance interface (§4.3) when
-	// it supports Insert/Delete, or nil. Every flat-kernel engine qualifies;
-	// only the legacy pointer-kernel engines are immutable.
+	// it supports Insert/Delete, or nil. Every engine this package builds
+	// qualifies.
 	MaintainableOf = core.Maintainable
 	// StoreOf returns the versioned columnar store an engine reads, or nil
-	// for the immutable pointer-kernel engines.
+	// for an engine that reads none.
 	StoreOf = core.StoreOf
 
 	// NewService builds the concurrent query service hosting many named
@@ -265,12 +262,6 @@ const (
 	Independent    = gen.Independent
 	Correlated     = gen.Correlated
 	AntiCorrelated = gen.AntiCorrelated
-)
-
-// Scan kernels for EngineOptions.Kernel (the zero value is KernelFlat).
-const (
-	KernelFlat    = core.KernelFlat
-	KernelPointer = core.KernelPointer
 )
 
 // Query workload value modes.
