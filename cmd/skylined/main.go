@@ -62,7 +62,6 @@ import (
 	"prefsky/internal/cluster"
 	"prefsky/internal/data"
 	"prefsky/internal/durable"
-	"prefsky/internal/flat"
 	"prefsky/internal/gen"
 	"prefsky/internal/service"
 )
@@ -95,7 +94,6 @@ func run(args []string) error {
 		queryTO    = fs.Duration("query-timeout", 0, "per-query deadline for uncached queries (0 = none)")
 		semLimit   = fs.Int("semantic-limit", 0, "max cached coarser-skyline size the semantic cache path will scan (0 = default 4096, negative disables)")
 		demo       = fs.Bool("demo", false, "host the built-in flights demo dataset")
-		gridSpec   = fs.String("grid", "auto", "grid pruning for flat-kernel scans: auto (large scans only), on or off")
 		pprofAddr  = fs.String("pprof", "", "serve net/http/pprof on this loopback address (e.g. 127.0.0.1:6060; empty disables)")
 		compactAt  = fs.Int("compact-threshold", 0, "delta+tombstone rows that trigger background compaction (0 = default, negative disables)")
 		readOnly   = fs.Bool("readonly", false, "freeze all datasets: /v1/insert and /v1/delete answer 409")
@@ -142,9 +140,6 @@ func run(args []string) error {
 	if len(datasets) == 0 && !*demo && !*shardMode {
 		return fmt.Errorf("no datasets: pass -dataset name=schema.json,data.csv or -demo")
 	}
-	if _, err := flat.ParseGridMode(*gridSpec); err != nil {
-		return err
-	}
 	fsyncPolicy, err := durable.ParsePolicy(*fsyncSpec)
 	if err != nil {
 		return err
@@ -173,7 +168,6 @@ func run(args []string) error {
 			Template:         tmpl,
 			Tree:             prefsky.TreeOptions{TopK: *topK},
 			Partitions:       *partitions,
-			Grid:             *gridSpec,
 			CompactThreshold: *compactAt,
 			ReadOnly:         *readOnly,
 		}
@@ -194,7 +188,6 @@ func run(args []string) error {
 			Kind:             *engine,
 			Tree:             prefsky.TreeOptions{TopK: *topK},
 			Partitions:       *partitions,
-			Grid:             *gridSpec,
 			CompactThreshold: *compactAt,
 		}
 		outer := http.NewServeMux()

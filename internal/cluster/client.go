@@ -324,7 +324,9 @@ func (c *shardClient) query(ctx context.Context, req *QueryRequest) (*QueryRespo
 	return out.(*QueryResponse), nil
 }
 
-// batch fetches partials for many preferences in one round trip.
+// batch fetches partials for many preferences in one round trip. The
+// partials are positional, so a response without exactly one per preference
+// is a protocol error.
 func (c *shardClient) batch(ctx context.Context, req *BatchRequest) (*BatchResponse, error) {
 	out, err := c.call(ctx, "/v1/shard/batch", req,
 		func() any { return &BatchResponse{} },
@@ -332,7 +334,11 @@ func (c *shardClient) batch(ctx context.Context, req *BatchRequest) (*BatchRespo
 	if err != nil {
 		return nil, err
 	}
-	return out.(*BatchResponse), nil
+	resp := out.(*BatchResponse)
+	if len(resp.Partials) != len(req.Preferences) {
+		return nil, fmt.Errorf("%w: %s: %d partials for %d preferences", ErrShardProtocol, c.name(), len(resp.Partials), len(req.Preferences))
+	}
+	return resp, nil
 }
 
 // info probes one URL (not hedged — the probe loop wants per-URL verdicts).

@@ -199,6 +199,44 @@ func TestCoordinatorCacheHitsSkipNetwork(t *testing.T) {
 	}
 }
 
+// With the result cache off nothing is ever cached under a coarser key, so
+// the semantic path must return before enumerating the refinement lattice:
+// no allocation at all. Queries still answer exactly from the shards.
+func TestCacheOffSkipsLattice(t *testing.T) {
+	ds := genDataset(t, 2000, gen.AntiCorrelated, 11)
+	co, _ := testCluster(t, 2, Options{CacheCapacity: -1})
+	if err := co.AddDataset(context.Background(), "d", ds); err != nil {
+		t.Fatal(err)
+	}
+	pref := mustPref(t, ds.Schema(), "nom0: v2<v1<v0<*; nom1: v3<v0<*").Canonical()
+	cd, err := co.lookup("d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	state := cd.state()
+	key := service.CacheKey("d", state, pref.CacheKey())
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, ok := co.semanticHit(cd, "d", state, key, pref); ok {
+			t.Fatal("semantic hit with the cache off")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("semanticHit with the cache off: %v allocs per call, want 0", allocs)
+	}
+	for i := 0; i < 2; i++ {
+		res, err := co.Query(context.Background(), "d", pref, FailStrict)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Outcome != service.OutcomeEngine {
+			t.Errorf("query %d outcome = %v, want engine", i, res.Outcome)
+		}
+		if want := oracle(t, ds.Schema(), ds.Points(), pref); !reflect.DeepEqual(res.IDs, want) {
+			t.Errorf("query %d: got %d ids, want %d", i, len(res.IDs), len(want))
+		}
+	}
+}
+
 // Batch must dedup canonically equal members, answer parse-clean members vs
 // the oracle, and mark repeat members as cache hits.
 func TestCoordinatorBatch(t *testing.T) {

@@ -381,9 +381,10 @@ func (c *Coordinator) Query(ctx context.Context, dataset string, pref *order.Pre
 
 // semanticHit rescans a cached coarser skyline locally: the cache stores the
 // skyline's materialized points (PutRows), so by Theorem 1 the refined
-// skyline is SFS over those few candidate rows — no shard round trip.
+// skyline is SFS over those few candidate rows — no shard round trip. With
+// the cache disabled no ancestor can be cached, so the lattice is not walked.
 func (c *Coordinator) semanticHit(cd *clusterDataset, dataset, state, key string, canonical *order.Preference) ([]data.PointID, bool) {
-	if c.semLimit < 0 {
+	if c.semLimit < 0 || c.cache.Disabled() {
 		return nil, false
 	}
 	for _, ancestor := range canonical.CoarserKeys(0) {
@@ -486,7 +487,7 @@ func decodePartial(p *Partial, m, l int) (parallel.Local, error) {
 }
 
 // finish applies the failure policy and merges the gathered partials.
-func (c *Coordinator) finish(ctx context.Context, dataset string, cd *clusterDataset, canonical *order.Preference, g gathered, policy FailPolicy, cacheable bool) (*Result, error) {
+func (c *Coordinator) finish(ctx context.Context, dataset string, cd *clusterDataset, canonical *order.Preference, g gathered, policy FailPolicy) (*Result, error) {
 	if g.err != nil {
 		return nil, g.err
 	}
@@ -516,7 +517,7 @@ func (c *Coordinator) finish(ctx context.Context, dataset string, cd *clusterDat
 		slices.Sort(res.Unavailable)
 		return res, nil // a policy-dependent superset must never be cached
 	}
-	if cacheable {
+	if !c.cache.Disabled() {
 		pool := make([]data.Point, 0, 64)
 		for i := range g.locals {
 			pool = append(pool, g.locals[i].Points...)
@@ -538,7 +539,7 @@ func (c *Coordinator) scatterQuery(ctx context.Context, dataset string, cd *clus
 		}
 		return &resp.Partial, nil
 	})
-	return c.finish(ctx, dataset, cd, canonical, g, policy, true)
+	return c.finish(ctx, dataset, cd, canonical, g, policy)
 }
 
 // Batch answers many preferences over one sharded dataset. Members dedup up
@@ -648,7 +649,7 @@ func (c *Coordinator) Batch(ctx context.Context, dataset string, prefs []*order.
 				}
 			}
 		}
-		res, err := c.finish(ctx, dataset, cd, g.canonical, gth, policy, true)
+		res, err := c.finish(ctx, dataset, cd, g.canonical, gth, policy)
 		if err != nil {
 			fan(g, Result{}, err)
 			continue

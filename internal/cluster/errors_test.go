@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
@@ -12,6 +13,7 @@ import (
 
 	"prefsky/internal/data"
 	"prefsky/internal/gen"
+	"prefsky/internal/order"
 )
 
 // A shard slower than the per-shard timeout is unavailable: strict queries
@@ -57,29 +59,50 @@ func TestShardTimeout(t *testing.T) {
 }
 
 // Malformed shard responses and protocol-version skew are never maskable:
-// both policies fail with ErrShardProtocol.
+// both policies fail with ErrShardProtocol, for single queries and for every
+// member of a batch.
 func TestMalformedAndSkewedShardResponses(t *testing.T) {
 	ds := genDataset(t, 1000, gen.Independent, 17)
 	pref := "nom0: v0<*"
+	batchPrefs := []string{"nom0: v1<*", "nom0: v2<*"} // none cached by the query
 	cases := []struct {
-		name    string
-		handler http.HandlerFunc
+		name string
+		// batchOnly: the handler breaks /v1/shard/batch only; every other
+		// path is served by the healthy shard, so single queries succeed.
+		batchOnly bool
+		handler   http.HandlerFunc
 	}{
-		{"malformed-json", func(w http.ResponseWriter, r *http.Request) {
+		{"malformed-json", false, func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Type", "application/json")
 			w.Write([]byte(`{"proto": 1, "partial": {`)) // truncated
 		}},
-		{"version-skew-body", func(w http.ResponseWriter, r *http.Request) {
+		{"version-skew-body", false, func(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, QueryResponse{Proto: ProtoVersion + 1})
 		}},
-		{"version-skew-error", func(w http.ResponseWriter, r *http.Request) {
+		{"version-skew-error", false, func(w http.ResponseWriter, r *http.Request) {
 			shardError(w, http.StatusBadRequest, CodeProtoMismatch, "protocol version 99")
 		}},
-		{"descending-scores", func(w http.ResponseWriter, r *http.Request) {
+		{"descending-scores", false, func(w http.ResponseWriter, r *http.Request) {
 			p := Partial{Scores: []float64{2, 1}}
 			p.Rows.AppendPoint(&data.Point{ID: 0, Num: []float64{0, 0}, Nom: nil})
 			p.Rows.AppendPoint(&data.Point{ID: 1, Num: []float64{1, 1}, Nom: nil})
+			if r.URL.Path == "/v1/shard/batch" {
+				var req BatchRequest
+				if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+					shardError(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
+					return
+				}
+				resp := BatchResponse{Proto: ProtoVersion}
+				for range req.Preferences {
+					resp.Partials = append(resp.Partials, p)
+				}
+				writeJSON(w, resp)
+				return
+			}
 			writeJSON(w, QueryResponse{Proto: ProtoVersion, Partial: p})
+		}},
+		{"short-batch", true, func(w http.ResponseWriter, r *http.Request) {
+			writeJSON(w, BatchResponse{Proto: ProtoVersion}) // no partials
 		}},
 	}
 	for _, tc := range cases {
@@ -91,12 +114,35 @@ func TestMalformedAndSkewedShardResponses(t *testing.T) {
 			}
 			bad := shards[1]
 			prev := func() http.Handler { bad.mu.Lock(); defer bad.mu.Unlock(); return bad.inner }()
-			bad.swap(tc.handler)
+			h := http.Handler(tc.handler)
+			if tc.batchOnly {
+				h = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+					if r.URL.Path == "/v1/shard/batch" {
+						tc.handler(w, r)
+						return
+					}
+					prev.ServeHTTP(w, r)
+				})
+			}
+			bad.swap(h)
 			defer bad.swap(prev)
 			p := mustPref(t, ds.Schema(), pref)
+			prefs := make([]*order.Preference, len(batchPrefs))
+			for i, s := range batchPrefs {
+				prefs[i] = mustPref(t, ds.Schema(), s)
+			}
 			for _, policy := range []FailPolicy{FailStrict, FailLenient} {
-				if _, err := co.Query(ctx, "d", p, policy); !errors.Is(err, ErrShardProtocol) {
+				_, err := co.Query(ctx, "d", p, policy)
+				switch {
+				case tc.batchOnly && err != nil:
+					t.Errorf("policy %v: query err = %v, want nil", policy, err)
+				case !tc.batchOnly && !errors.Is(err, ErrShardProtocol):
 					t.Errorf("policy %v: err = %v, want ErrShardProtocol", policy, err)
+				}
+				for i, r := range co.Batch(ctx, "d", prefs, policy) {
+					if !errors.Is(r.Err, ErrShardProtocol) {
+						t.Errorf("policy %v: batch member %d err = %v, want ErrShardProtocol", policy, i, r.Err)
+					}
 				}
 			}
 		})

@@ -32,7 +32,6 @@ import (
 	"math"
 
 	"prefsky/internal/data"
-	"prefsky/internal/flat"
 )
 
 // The columnar arrays travel as base64-packed little-endian binary inside
@@ -225,14 +224,11 @@ type BatchResponse struct {
 
 // InfoDataset describes one partition a shard hosts: the health-probe unit
 // the coordinator compares against its own registry to detect shards that
-// restarted (missing dataset, stale gen) and need a re-push. Grid is the
-// partition's own pruning counters, so the coordinator can aggregate grid
-// stats across shards without double counting.
+// restarted (missing dataset, stale gen) and need a re-push.
 type InfoDataset struct {
-	Name   string         `json:"name"`
-	Gen    uint64         `json:"gen"`
-	Points int            `json:"points"`
-	Grid   flat.GridStats `json:"grid"`
+	Name   string `json:"name"`
+	Gen    uint64 `json:"gen"`
+	Points int    `json:"points"`
 }
 
 // InfoResponse answers GET /v1/shard/info.

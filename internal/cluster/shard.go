@@ -149,18 +149,10 @@ func (h *ShardHandler) handleLoad(w http.ResponseWriter, r *http.Request) {
 // probe compares this against its registry to find shards needing a
 // re-push.
 func (h *ShardHandler) handleInfo(w http.ResponseWriter, r *http.Request) {
-	grids := make(map[string]service.DatasetInfo)
-	for _, info := range h.svc.Datasets() {
-		grids[info.Name] = info
-	}
 	h.mu.RLock()
 	out := InfoResponse{Proto: ProtoVersion, Datasets: make([]InfoDataset, 0, len(h.datasets))}
 	for name, sd := range h.datasets {
-		d := InfoDataset{Name: name, Gen: sd.gen, Points: len(sd.globalIDs)}
-		if info, ok := grids[name]; ok && info.Grid != nil {
-			d.Grid = *info.Grid
-		}
-		out.Datasets = append(out.Datasets, d)
+		out.Datasets = append(out.Datasets, InfoDataset{Name: name, Gen: sd.gen, Points: len(sd.globalIDs)})
 	}
 	h.mu.RUnlock()
 	slices.SortFunc(out.Datasets, func(a, b InfoDataset) int { return strings.Compare(a.Name, b.Name) })

@@ -135,17 +135,12 @@ type Options struct {
 	// default (flat.DefaultCompactThreshold), negative disables automatic
 	// compaction.
 	CompactThreshold int
-	// Grid selects cell-grid pruning for the flat scans (SFS-D, the
-	// parallel engines and the tree engines' stale fallback). The zero
-	// value is flat.GridAuto: build the grid only for scans large enough to
-	// amortize it.
-	Grid flat.GridMode
 }
 
 // scanFallback computes the skyline of the store's current snapshot with the
 // flat SFS kernel — the path tree-backed engines take while their tree is
 // stale.
-func scanFallback(ctx context.Context, snap *flat.Snapshot, pref *order.Preference, grid flat.GridMode) ([]data.PointID, error) {
+func scanFallback(ctx context.Context, snap *flat.Snapshot, pref *order.Preference) ([]data.PointID, error) {
 	cmp, err := dominance.NewComparator(snap.Schema(), pref)
 	if err != nil {
 		return nil, err
@@ -154,7 +149,6 @@ func scanFallback(ctx context.Context, snap *flat.Snapshot, pref *order.Preferen
 	if err != nil {
 		return nil, err
 	}
-	proj.SetGridMode(grid)
 	rows, err := proj.SkylineRangeCtx(ctx, 0, proj.N())
 	if err != nil {
 		return nil, err
@@ -171,7 +165,6 @@ type ipoEngine struct {
 	store    *flat.Store
 	template *order.Preference
 	opts     ipotree.Options
-	grid     flat.GridMode
 	vt       atomic.Pointer[ipotree.Versioned]
 }
 
@@ -194,7 +187,7 @@ func (e *ipoEngine) Skyline(ctx context.Context, pref *order.Preference) ([]data
 	if _, err := vt.Query(pref); err != nil {
 		return nil, err
 	}
-	return scanFallback(ctx, snap, pref, e.grid)
+	return scanFallback(ctx, snap, pref)
 }
 
 func (e *ipoEngine) SizeBytes() int { return e.vt.Load().Tree().SizeBytes() }
@@ -231,10 +224,10 @@ func NewIPOTree(ds *data.Dataset, template *order.Preference, opts ipotree.Optio
 	if ds == nil {
 		return nil, fmt.Errorf("core: nil dataset")
 	}
-	return newIPOTree(flat.NewStore(ds, 0), template, opts, flat.GridAuto)
+	return newIPOTree(flat.NewStore(ds, 0), template, opts)
 }
 
-func newIPOTree(store *flat.Store, template *order.Preference, opts ipotree.Options, grid flat.GridMode) (Engine, error) {
+func newIPOTree(store *flat.Store, template *order.Preference, opts ipotree.Options) (Engine, error) {
 	name := "IPO Tree"
 	if opts.TopK > 0 {
 		name = fmt.Sprintf("IPO Tree-%d", opts.TopK)
@@ -244,7 +237,7 @@ func newIPOTree(store *flat.Store, template *order.Preference, opts ipotree.Opti
 	if err != nil {
 		return nil, err
 	}
-	e := &ipoEngine{name: name, store: store, template: tree.Template(), opts: opts, grid: grid}
+	e := &ipoEngine{name: name, store: store, template: tree.Template(), opts: opts}
 	e.vt.Store(ipotree.NewVersioned(tree, snap.Version(), ids))
 	store.OnCompact(e.rebuild)
 	return e, nil
@@ -296,12 +289,7 @@ func newAdaptiveSFSStore(store *flat.Store, template *order.Preference) (Engine,
 // Insert/Delete are supported through the store.
 type SFSD struct {
 	store *flat.Store
-	grid  flat.GridMode // grid pruning for the flat scans
 }
-
-// SetGridMode selects grid pruning for the engine's scans (flat.GridAuto is
-// the default). Call it at configuration time, before queries run.
-func (s *SFSD) SetGridMode(m flat.GridMode) { s.grid = m }
 
 // NewSFSD wraps a dataset as the SFS-D baseline over a private versioned
 // store.
@@ -331,7 +319,7 @@ func (s *SFSD) Skyline(ctx context.Context, pref *order.Preference) ([]data.Poin
 	// The flat scan is cancellable for free, so a disconnected client or
 	// expired deadline frees its worker slot mid-scan instead of burning it
 	// for the full O(N) pass.
-	return scanFallback(ctx, s.store.Snapshot(), pref, s.grid)
+	return scanFallback(ctx, s.store.Snapshot(), pref)
 }
 
 // SizeBytes implements Engine; SFS-D keeps no index (§5: "SFS-D does not use
@@ -474,7 +462,7 @@ func NewFromStore(kind string, store *flat.Store, template *order.Preference, op
 	}
 	switch strings.ToLower(strings.TrimSpace(kind)) {
 	case "ipo", "ipotree", "ipo tree", "ipo-tree":
-		return newIPOTree(store, template, opts.Tree, opts.Grid)
+		return newIPOTree(store, template, opts.Tree)
 	case "sfsa", "sfs-a":
 		return newAdaptiveSFSStore(store, template)
 	case "sfsd", "sfs-d":
@@ -482,7 +470,6 @@ func NewFromStore(kind string, store *flat.Store, template *order.Preference, op
 		if err != nil {
 			return nil, err
 		}
-		e.SetGridMode(opts.Grid)
 		return e, nil
 	case "hybrid":
 		return newHybridStore(store, template, opts.Tree)
@@ -491,14 +478,12 @@ func NewFromStore(kind string, store *flat.Store, template *order.Preference, op
 		if err != nil {
 			return nil, err
 		}
-		e.SetGridMode(opts.Grid)
 		return &parallelEngine{e: e}, nil
 	case "parallel-hybrid", "parallelhybrid", "parallel hybrid", "phybrid":
 		e, err := parallel.NewHybridFromStore(store, template, opts.Tree, opts.Partitions)
 		if err != nil {
 			return nil, err
 		}
-		e.SetGridMode(opts.Grid)
 		return &parallelHybridEngine{e: e}, nil
 	default:
 		return nil, fmt.Errorf("core: unknown engine kind %q (want one of %s)",

@@ -7,8 +7,8 @@
 // member's skyline: SKY(p) ⊆ SKY(meet) for each member p. The scan therefore
 // presorts once by the meet score, maintains one meet window (a proper SFS
 // window — the meet score is strictly monotone under meet dominance, so it
-// only ever appends, and the grid prunes against it), and feeds each meet
-// survivor to one lightweight window per member.
+// only ever appends), and feeds each meet survivor to one lightweight window
+// per member.
 //
 // The member windows cannot be append-only: rows arrive in *meet*-score
 // order, under which a member's dominance is only weakly monotone (x ≺_p y
@@ -114,11 +114,11 @@ func (v *batchView) bnlInsert(window []int32, r int32) []int32 {
 // SkylineBatch answers every preference's skyline over the snapshot in one
 // shared pass (see the file comment above for the argument). Results come
 // back positionally, each in ascending point-id order — identical to running
-// Project + SkylineRange + IDs per preference. grid selects cell pruning for
-// the shared meet scan. It returns ErrBatchWindow when the members share too
-// little structure for the shared scan to pay; callers then fall back to
+// Project + SkylineRange + IDs per preference. The GridMode parameter is
+// ignored (see compat.go). It returns ErrBatchWindow when the members share
+// too little structure for the shared scan to pay; callers then fall back to
 // independent queries.
-func (s *Snapshot) SkylineBatch(ctx context.Context, prefs []*order.Preference, grid GridMode) ([][]data.PointID, error) {
+func (s *Snapshot) SkylineBatch(ctx context.Context, prefs []*order.Preference, _ GridMode) ([][]data.PointID, error) {
 	if len(prefs) == 0 {
 		return nil, nil
 	}
@@ -134,7 +134,6 @@ func (s *Snapshot) SkylineBatch(ctx context.Context, prefs []*order.Preference, 
 	if err != nil {
 		return nil, err
 	}
-	proj.SetGridMode(grid)
 
 	cs := s.columns()
 	views := make([]batchView, len(prefs))
@@ -160,18 +159,13 @@ func (s *Snapshot) SkylineBatch(ctx context.Context, prefs []*order.Preference, 
 	}
 
 	rows := proj.SortedRows(0, proj.N())
-	st := newGridScan(proj, len(rows))
 	meetWin := make([]int32, 0, 64)
 	wins := make([][]int32, len(prefs))
 	for c, r := range rows {
 		if c&63 == 0 {
 			if err := ctx.Err(); err != nil {
-				st.flush()
 				return nil, err
 			}
-		}
-		if st != nil && st.skip(proj, meetWin, r) {
-			continue
 		}
 		dominated := false
 		for _, w := range meetWin {
@@ -185,14 +179,12 @@ func (s *Snapshot) SkylineBatch(ctx context.Context, prefs []*order.Preference, 
 		}
 		meetWin = append(meetWin, r)
 		if len(meetWin) > batchMeetWindowCap {
-			st.flush()
 			return nil, ErrBatchWindow
 		}
 		for k := range views {
 			wins[k] = views[k].bnlInsert(wins[k], r)
 		}
 	}
-	st.flush()
 
 	out := make([][]data.PointID, len(prefs))
 	for k, w := range wins {

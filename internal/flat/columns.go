@@ -2,10 +2,10 @@
 // built lazily (once per Block, once per Snapshot spanning a delta) and holds
 // the preference-independent pieces every projection needs: one contiguous
 // column per numeric dimension, one per nominal dimension, the per-row sum of
-// the numeric columns, and a bounded cache of rank columns keyed by rank-table
-// contents — so preferences sharing a rank table on a dimension (and repeat
-// queries at the same version) share the mapped []int32 column instead of
-// re-projecting it.
+// the numeric columns, and two bounded caches keyed by rank-table contents:
+// rank columns — so preferences sharing a rank table on a dimension (and
+// repeat queries at the same version) share the mapped []int32 column instead
+// of re-projecting it — and full-range presort permutations.
 package flat
 
 import (
@@ -20,15 +20,12 @@ import (
 // preferences cannot grow a snapshot's footprint without bound.
 const maxCachedRankCols = 64
 
-// maxCachedGrids bounds the per-colSet grid cache the same way.
-const maxCachedGrids = 8
-
 // maxCachedSorts bounds the per-colSet presort-permutation cache.
 const maxCachedSorts = 8
 
 // colSet is the column-major mirror of one row space (a block, or a
-// snapshot's base+delta). Immutable after build except for the rank cache,
-// which is mutex-guarded; all methods are safe for concurrent readers.
+// snapshot's base+delta). Immutable after build except for the two caches,
+// which are mutex-guarded; all methods are safe for concurrent readers.
 type colSet struct {
 	n   int
 	num [][]float64     // one column of length n per numeric dimension
@@ -39,7 +36,6 @@ type colSet struct {
 
 	mu    sync.Mutex
 	ranks map[string][]int32 // (dim, rank table) fingerprint → rank column
-	grids map[string]*grid   // all-dimension table fingerprint → cell grid
 	sorts map[string][]int32 // all-dimension table fingerprint → presort order
 }
 
@@ -134,35 +130,6 @@ func (cs *colSet) rankColumn(d int, tab []int32) []int32 {
 		cs.ranks[key] = col
 	}
 	return col
-}
-
-// cachedGrid returns the grid for the given all-dimension table fingerprint,
-// building it with build on the first request. Grids are built over all rows
-// (tombstones only make cell minima more conservative), so one cached grid
-// serves every snapshot sharing the colSet. Like rankColumn, the build runs
-// outside the lock and the first stored grid wins.
-func (cs *colSet) cachedGrid(key string, build func() *grid) *grid {
-	cs.mu.Lock()
-	if g, ok := cs.grids[key]; ok {
-		cs.mu.Unlock()
-		return g
-	}
-	cs.mu.Unlock()
-
-	g := build()
-
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	if prev, ok := cs.grids[key]; ok {
-		return prev
-	}
-	if cs.grids == nil {
-		cs.grids = make(map[string]*grid)
-	}
-	if len(cs.grids) < maxCachedGrids {
-		cs.grids[key] = g
-	}
-	return g
 }
 
 // cachedSort returns the full-range presort permutation — all rows ascending

@@ -9,10 +9,8 @@
 // a dimension share the mapped column through a per-block/per-snapshot cache.
 // After projection the dominance test touches only sequential int32/float64
 // memory: no per-point slice headers, no rank-table re-indexing, no pointer
-// chasing. A projection can additionally carry a coarse grid over the
-// projected space (grid.go) whose per-cell minima let scans skip whole
-// dominated cells, and a snapshot can answer a whole batch of preferences in
-// one shared pass (batch.go).
+// chasing. A snapshot can also answer a whole batch of preferences in one
+// shared pass (batch.go).
 //
 // The projection preserves the paper's incomparability rule for unlisted
 // values: two distinct unlisted values share rank k (the domain cardinality)
@@ -129,12 +127,8 @@ type Projection struct {
 	unlisted []int32         // per nominal dim: the shared unlisted rank (= cardinality)
 	scores   []float64       // f(p) per row
 
-	gridMode GridMode
-	gridOnce sync.Once
-	grid     *grid         // lazily built by the first qualifying scan; may stay nil
-	cs       *colSet       // non-nil for dense projections: hosts the grid cache
-	gridKey  string        // all-dimension rank-table fingerprint, the grid cache key
-	counters *GridCounters // grid-stat sink; nil means the process-wide default
+	cs      *colSet // non-nil for dense projections: hosts the presort cache
+	sortKey string  // all-dimension rank-table fingerprint, the presort cache key
 }
 
 // unlistedRanks returns each nominal dimension's unlisted rank — the domain
@@ -164,15 +158,12 @@ func newProjection(b *Block, s *Snapshot, cs *colSet, tabs [][]int32) *Projectio
 		unlisted: unlistedRanks(b.schema),
 		cs:       cs,
 	}
-	if s != nil {
-		pr.counters = s.gridc
-	}
 	var key []byte
 	for d, tab := range tabs {
 		pr.rankCols[d] = cs.rankColumn(d, tab)
 		key = append(key, tableKey(d, tab)...)
 	}
-	pr.gridKey = string(key)
+	pr.sortKey = string(key)
 	scores := make([]float64, cs.n)
 	copy(scores, cs.numScores())
 	for _, col := range pr.rankCols {
@@ -337,7 +328,7 @@ func (pr *Projection) liveRows(lo, hi int) []int32 {
 // and must not be mutated.
 func (pr *Projection) SortedRows(lo, hi int) []int32 {
 	if pr.cs != nil && lo == 0 && hi == pr.n && pr.n > 0 {
-		perm := pr.cs.cachedSort(pr.gridKey, func() []int32 {
+		perm := pr.cs.cachedSort(pr.sortKey, func() []int32 {
 			rows := make([]int32, pr.n)
 			for i := range rows {
 				rows[i] = int32(i)
@@ -487,22 +478,14 @@ func (pr *Projection) SkylineRangeCtx(ctx context.Context, lo, hi int) ([]int32,
 }
 
 // scanRows runs the SFS filter over rows already presorted by (score, row):
-// the single scan loop behind SkylineRangeCtx and SkylineOf. When the
-// projection carries a grid (built lazily by the first qualifying scan), a
-// candidate whose cell is already wholly dominated by the accepted window is
-// skipped without a single pairwise test.
+// the single scan loop behind SkylineRangeCtx and SkylineOf.
 func (pr *Projection) scanRows(ctx context.Context, rows []int32) ([]int32, error) {
 	accepted := make([]int32, 0, 64)
-	st := newGridScan(pr, len(rows))
 	for c, r := range rows {
 		if c&63 == 0 {
 			if err := ctx.Err(); err != nil {
-				st.flush()
 				return nil, err
 			}
-		}
-		if st != nil && st.skip(pr, accepted, r) {
-			continue
 		}
 		dominated := false
 		for _, s := range accepted {
@@ -515,7 +498,6 @@ func (pr *Projection) scanRows(ctx context.Context, rows []int32) ([]int32, erro
 			accepted = append(accepted, r)
 		}
 	}
-	st.flush()
 	return accepted, nil
 }
 

@@ -51,11 +51,6 @@ type Snapshot struct {
 
 	version uint64
 
-	// gridc is the owning store's grid-stat sink, nil for storeless
-	// snapshots; projections inherit it so grid activity is attributed to
-	// the dataset that ran the scan.
-	gridc *GridCounters
-
 	colsOnce sync.Once
 	cols     *colSet // lazy base+delta column mirror + rank-column cache
 }
@@ -248,7 +243,6 @@ func (s *Snapshot) ProjectRows(cmp *dominance.Comparator, rows []int32) (*Projec
 		rankCols: make([][]int32, l),
 		unlisted: unlistedRanks(b.schema),
 		scores:   make([]float64, n),
-		counters: s.gridc,
 	}
 	numBack := make([]float64, n*m)
 	for d := 0; d < m; d++ {

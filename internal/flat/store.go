@@ -84,10 +84,6 @@ type Store struct {
 	deletes      atomic.Uint64
 	compactions  atomic.Uint64
 	journalFails atomic.Uint64
-
-	// gridc receives grid-pruning activity from every scan over this
-	// store's snapshots, making GridStats per-dataset.
-	gridc GridCounters
 }
 
 // NewStore wraps a validated dataset as a versioned store. threshold is the
@@ -103,7 +99,6 @@ func NewStore(ds *data.Dataset, threshold int) *Store {
 		nextID:    data.PointID(ds.N()),
 	}
 	snap := newSnapshot(NewBlock(ds))
-	snap.gridc = &st.gridc
 	st.snap.Store(snap)
 	return st
 }
@@ -143,7 +138,6 @@ func RestoreStore(schema *data.Schema, points []data.Point, nextID data.PointID,
 	}
 	snap := newSnapshot(blk)
 	snap.version = version
-	snap.gridc = &st.gridc
 	st.snap.Store(snap)
 	return st, nil
 }
@@ -190,10 +184,6 @@ func (st *Store) Stats() StoreStats {
 		SizeBytes:       s.SizeBytes(),
 	}
 }
-
-// GridStats snapshots the grid-pruning counters accumulated by scans over
-// this store's snapshots.
-func (st *Store) GridStats() GridStats { return st.gridc.Read() }
 
 // OnCompact registers a hook called after each compaction installs, with the
 // compacted snapshot, outside the store's locks. Engines use it to rebuild
@@ -250,7 +240,6 @@ func (st *Store) Insert(num []float64, nom []order.Value) (data.PointID, error) 
 		dead:    cur.dead,
 		deadN:   cur.deadN,
 		version: cur.version + 1,
-		gridc:   cur.gridc,
 	}
 	if st.journal != nil {
 		if err := st.journal.JournalInsert(ns.dids[len(cur.dids):], ns.dnum[len(cur.dnum):], ns.dnom[len(cur.dnom):], ns.version); err != nil {
@@ -303,7 +292,6 @@ func (st *Store) InsertBatch(nums [][]float64, noms [][]order.Value) ([]data.Poi
 		dead:    cur.dead,
 		deadN:   cur.deadN,
 		version: cur.version + uint64(len(ids)),
-		gridc:   cur.gridc,
 	}
 	if st.journal != nil {
 		if err := st.journal.JournalInsert(ns.dids[len(cur.dids):], ns.dnum[len(cur.dnum):], ns.dnom[len(cur.dnom):], ns.version); err != nil {
@@ -359,7 +347,6 @@ func (st *Store) DeleteBatch(ids []data.PointID) (int, error) {
 		dead:    dead,
 		deadN:   cur.deadN + applied,
 		version: cur.version + uint64(applied),
-		gridc:   cur.gridc,
 	}
 	if st.journal != nil {
 		if err := st.journal.JournalDelete(ids[:applied], ns.version); err != nil {
@@ -403,7 +390,6 @@ func (st *Store) Delete(id data.PointID) error {
 		dead:    dead,
 		deadN:   cur.deadN + 1,
 		version: cur.version + 1,
-		gridc:   cur.gridc,
 	}
 	if st.journal != nil {
 		if err := st.journal.JournalDelete([]data.PointID{id}, ns.version); err != nil {
@@ -505,7 +491,6 @@ func (st *Store) doCompact() {
 		dead:    dead,
 		deadN:   deadN,
 		version: cur.version,
-		gridc:   cur.gridc,
 	}
 	st.deadSince = nil
 	st.compacting = false

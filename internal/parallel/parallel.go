@@ -295,7 +295,6 @@ func firstError(errs []error) error {
 type Engine struct {
 	store *flat.Store
 	parts int
-	grid  flat.GridMode // grid pruning for the partition scans
 
 	queries atomic.Uint64
 }
@@ -322,10 +321,6 @@ func NewFromStore(store *flat.Store, partitions int) (*Engine, error) {
 // Partitions returns the configured partition count (0 = GOMAXPROCS).
 func (e *Engine) Partitions() int { return e.parts }
 
-// SetGridMode selects grid pruning for the engine's scans (flat.GridAuto is
-// the default). Call it at configuration time, before queries run.
-func (e *Engine) SetGridMode(m flat.GridMode) { e.grid = m }
-
 // Store returns the versioned store the engine reads.
 func (e *Engine) Store() *flat.Store { return e.store }
 
@@ -342,8 +337,6 @@ func (e *Engine) Skyline(ctx context.Context, pref *order.Preference) ([]data.Po
 	if err != nil {
 		return nil, err
 	}
-	// All partition scans share the projection — and, lazily, its grid.
-	proj.SetGridMode(e.grid)
 	return SkylineProjected(ctx, proj, e.parts)
 }
 
@@ -453,10 +446,6 @@ func (h *Hybrid) Skyline(ctx context.Context, pref *order.Preference) ([]data.Po
 func (h *Hybrid) ValidatePreference(pref *order.Preference) error {
 	return h.vt.Load().Tree().Validate(pref)
 }
-
-// SetGridMode selects grid pruning for the fallback scans (flat.GridAuto is
-// the default). Call it at configuration time, before queries run.
-func (h *Hybrid) SetGridMode(m flat.GridMode) { h.par.SetGridMode(m) }
 
 // Store returns the versioned store both halves read.
 func (h *Hybrid) Store() *flat.Store { return h.par.Store() }

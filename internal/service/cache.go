@@ -99,7 +99,9 @@ func NewCache(capacity, shards int) *Cache {
 	return c
 }
 
-func (c *Cache) disabled() bool { return c.shards[0].cap == 0 }
+// Disabled reports whether the cache keeps nothing (capacity zero): every
+// put is dropped and every lookup misses.
+func (c *Cache) Disabled() bool { return c.shards[0].cap == 0 }
 
 func (c *Cache) shard(key string) *cacheShard {
 	h := maphash.String(c.seed, key)
@@ -125,7 +127,7 @@ func (c *Cache) lookup(key string) (*cacheEntry, bool) {
 // Get returns the cached skyline for the key, marking it most recently used
 // and counting the outcome as an exact hit or miss.
 func (c *Cache) Get(key string) ([]data.PointID, bool) {
-	if c.disabled() {
+	if c.Disabled() {
 		c.misses.Add(1)
 		return nil, false
 	}
@@ -144,7 +146,7 @@ func (c *Cache) Get(key string) ([]data.PointID, bool) {
 // found entry is still marked most recently used: serving refinements from it
 // is a use.
 func (c *Cache) Probe(key string) ([]data.PointID, bool) {
-	if c.disabled() {
+	if c.Disabled() {
 		return nil, false
 	}
 	e, ok := c.lookup(key)
@@ -158,7 +160,7 @@ func (c *Cache) Probe(key string) ([]data.PointID, bool) {
 // returns the materialized skyline points, or reports false when the entry
 // was stored without them.
 func (c *Cache) ProbeRows(key string) ([]data.PointID, []data.Point, bool) {
-	if c.disabled() {
+	if c.Disabled() {
 		return nil, nil, false
 	}
 	e, ok := c.lookup(key)
@@ -189,7 +191,7 @@ func (c *Cache) PutRows(key, dataset, state string, ids []data.PointID, rows []d
 }
 
 func (c *Cache) put(key, dataset, state string, ids []data.PointID, rows []data.Point) {
-	if c.disabled() {
+	if c.Disabled() {
 		return
 	}
 	s := c.shard(key)
@@ -292,7 +294,7 @@ func stateNewer(a, b string) bool {
 // reject every current-state Put until the next mutation. An older (or
 // equal) token is therefore a no-op when a newer one is already recorded.
 func (c *Cache) InvalidateStale(dataset, state string) int {
-	if c.disabled() {
+	if c.Disabled() {
 		return 0
 	}
 	c.stateMu.Lock()
@@ -310,7 +312,7 @@ func (c *Cache) InvalidateStale(dataset, state string) int {
 // re-registered over different data under a fresh epoch). Called when a
 // dataset is removed.
 func (c *Cache) InvalidateDataset(dataset string) int {
-	if c.disabled() {
+	if c.Disabled() {
 		return 0
 	}
 	c.stateMu.Lock()
@@ -321,7 +323,7 @@ func (c *Cache) InvalidateDataset(dataset string) int {
 
 // Len returns the number of cached entries.
 func (c *Cache) Len() int {
-	if c.disabled() {
+	if c.Disabled() {
 		return 0
 	}
 	n := 0

@@ -264,7 +264,7 @@ func (x *Executor) queryEngine(ctx context.Context, dataset string, pref *order.
 // result is inserted under its own exact key, so the next identical query —
 // and further refinements — hit directly.
 func (x *Executor) semanticHit(ctx context.Context, dataset, state, key string, pref *order.Preference) ([]data.PointID, bool) {
-	if x.semLimit < 0 || x.cache.disabled() {
+	if x.semLimit < 0 || x.cache.Disabled() {
 		// No cached ancestors can exist with the cache disabled — skip the
 		// lattice enumeration instead of paying for it on every query.
 		return nil, false

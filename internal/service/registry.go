@@ -51,10 +51,6 @@ type EngineConfig struct {
 	// (flat.DefaultCompactThreshold), negative disables automatic
 	// compaction.
 	CompactThreshold int
-	// Grid selects cell-grid pruning for the flat scans: "" or "auto"
-	// (build the grid only for scans large enough to amortize it), "on", or
-	// "off".
-	Grid string
 	// ReadOnly freezes the dataset: Insert/Delete return
 	// ErrNotMaintainable even on engines that support maintenance.
 	ReadOnly bool
@@ -78,13 +74,9 @@ type DatasetInfo struct {
 	Version      uint64 `json:"version"`
 	// Health is the dataset's durability health ("ok", "recovering",
 	// "degraded"); memory-only datasets are always "ok".
-	Health string           `json:"health"`
-	Store  *flat.StoreStats `json:"store,omitempty"`
-	// Grid is the dataset's own grid-pruning activity (scans over its
-	// store's snapshots), so aggregating stats across shards never double
-	// counts a process-wide total.
-	Grid       *flat.GridStats `json:"grid,omitempty"`
-	Durability *durable.Stats  `json:"durability,omitempty"`
+	Health     string           `json:"health"`
+	Store      *flat.StoreStats `json:"store,omitempty"`
+	Durability *durable.Stats   `json:"durability,omitempty"`
 }
 
 // dsEntry is one hosted dataset. There is no entry-level lock: queries read
@@ -104,7 +96,6 @@ type dsEntry struct {
 	maint     core.Maintainer          // nil when unsupported or read-only
 	validator core.PreferenceValidator // nil when the engine accepts everything
 	readOnly  bool
-	grid      flat.GridMode // grid pruning for the shared batch scans
 
 	queries atomic.Uint64
 }
@@ -156,18 +147,14 @@ func (r *Registry) Add(name string, ds *data.Dataset, cfg EngineConfig) error {
 	if tmpl == nil {
 		tmpl = ds.Schema().EmptyPreference()
 	}
-	grid, err := flat.ParseGridMode(cfg.Grid)
-	if err != nil {
-		return fmt.Errorf("service: dataset %q: %w", name, err)
-	}
 	opts := core.Options{
 		Tree:             cfg.Tree,
 		Partitions:       cfg.Partitions,
 		CompactThreshold: cfg.CompactThreshold,
-		Grid:             grid,
 	}
 	var eng core.Engine
 	var db *durable.DB
+	var err error
 	if cfg.Durable != nil {
 		dcfg := *cfg.Durable
 		if dcfg.CompactThreshold == 0 {
@@ -195,7 +182,6 @@ func (r *Registry) Add(name string, ds *data.Dataset, cfg EngineConfig) error {
 		dur:       db,
 		validator: core.ValidatorOf(eng),
 		readOnly:  cfg.ReadOnly,
-		grid:      grid,
 	}
 	if !cfg.ReadOnly {
 		e.maint = core.Maintainable(eng)
@@ -297,8 +283,6 @@ func (r *Registry) Info() []DatasetInfo {
 		}
 		st := e.store.Stats()
 		info.Store = &st
-		gs := e.store.GridStats()
-		info.Grid = &gs
 		if e.dur != nil {
 			d := e.dur.Stats()
 			info.Durability = &d
@@ -469,7 +453,7 @@ func (r *Registry) QueryBatch(ctx context.Context, name string, prefs []*order.P
 	snap := e.store.Snapshot()
 	before := snap.Version()
 	e.queries.Add(uint64(len(run)))
-	results, err := snap.SkylineBatch(ctx, run, e.grid)
+	results, err := snap.SkylineBatch(ctx, run, 0)
 	if errors.Is(err, flat.ErrBatchWindow) {
 		return nil, "", false, nil
 	}

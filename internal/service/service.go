@@ -33,7 +33,6 @@ import (
 	"time"
 
 	"prefsky/internal/data"
-	"prefsky/internal/flat"
 	"prefsky/internal/order"
 )
 
@@ -62,20 +61,16 @@ type Options struct {
 	MaxQueuedQueries int
 }
 
-// Stats is the service-wide snapshot served by GET /v1/stats. Grid is the
-// sum of every hosted dataset's own counters plus the storeless default —
-// each dataset's share appears under its DatasetInfo, so aggregating
-// per-dataset numbers across shards never double counts.
+// Stats is the service-wide snapshot served by GET /v1/stats.
 type Stats struct {
-	Cache    CacheStats     `json:"cache"`
-	Queries  uint64         `json:"queries"`
-	Batches  uint64         `json:"batches"`
-	Workers  int            `json:"workers"`
-	QueueCap int            `json:"queueCap"`
-	Queued   int64          `json:"queued"`
-	Shed     uint64         `json:"shed"`
-	Grid     flat.GridStats `json:"grid"`
-	Datasets []DatasetInfo  `json:"datasets"`
+	Cache    CacheStats    `json:"cache"`
+	Queries  uint64        `json:"queries"`
+	Batches  uint64        `json:"batches"`
+	Workers  int           `json:"workers"`
+	QueueCap int           `json:"queueCap"`
+	Queued   int64         `json:"queued"`
+	Shed     uint64        `json:"shed"`
+	Datasets []DatasetInfo `json:"datasets"`
 }
 
 // Service is the facade cmd/skylined serves: registry + cache + executor.
@@ -216,12 +211,6 @@ func (s *Service) Close() error { return s.reg.Close() }
 func (s *Service) Stats() Stats {
 	queries, batches := s.exec.Counters()
 	datasets := s.reg.Info()
-	grid := flat.ReadGridStats()
-	for i := range datasets {
-		if datasets[i].Grid != nil {
-			grid.Sum(*datasets[i].Grid)
-		}
-	}
 	return Stats{
 		Cache:    s.cache.Stats(),
 		Queries:  queries,
@@ -230,7 +219,6 @@ func (s *Service) Stats() Stats {
 		QueueCap: s.exec.QueueCap(),
 		Queued:   s.exec.Queued(),
 		Shed:     s.exec.Shed(),
-		Grid:     grid,
 		Datasets: datasets,
 	}
 }
