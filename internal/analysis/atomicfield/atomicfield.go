@@ -5,7 +5,7 @@
 //
 // A single plain access voids every atomic one — the race detector only
 // catches it when a test happens to interleave, but the analyzer catches
-// it always. The repo's own counters (service stats, hybrid routing,
+// it always. The repo's own counters (service stats, tree-engine routing,
 // flat.Store's snapshot pointer) migrated to the typed atomic.Int64 /
 // atomic.Pointer wrappers, whose method-only API makes plain access
 // inexpressible and which go vet's copylocks guards against copying; this

@@ -2,20 +2,25 @@
 // primary contributions — IPO-Tree Search (§3) and Adaptive SFS (§4) — live
 // in their own packages (internal/ipotree, internal/adaptive); core provides
 // the uniform Engine view used by the public API, the CLIs and the benchmark
-// harness, plus the SFS-D baseline, the hybrid of §5.3 and the partitioned
-// multi-core engines of internal/parallel.
+// harness.
 //
-// Every engine reads a versioned columnar store (flat.Store) and supports
-// §4.3 maintenance through the Maintainer interface: scan engines are
-// trivially maintainable (each query projects the current snapshot), SFS-A
-// maintains its structures incrementally, and the tree-backed engines
-// version-gate their tree — it answers while the data is unchanged, queries
-// fall back to a live-snapshot scan after a mutation, and compaction
-// rebuilds the tree.
+// Every kind is built from three parts over one versioned columnar store
+// (flat.Store):
+//
+//   - scan(P): the flat SFS kernel over the current snapshot's projection,
+//     split into P row ranges (sfsd: P = 1; parallel-sfs: Options.Partitions);
+//   - sfsa: Adaptive SFS, which maintains its structures incrementally;
+//   - tree: a version-gated IPO-tree over a fallback. It answers while its
+//     build version equals the snapshot's, the fallback answers otherwise,
+//     and compaction rebuilds it. ipo is strict over scan(1); hybrid (§5.3)
+//     is lenient over sfsa; parallel-hybrid is lenient over scan(P).
+//
+// Every engine supports §4.3 maintenance through the Maintainer interface.
 package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync/atomic"
@@ -24,7 +29,6 @@ import (
 	"prefsky/internal/data"
 	"prefsky/internal/dominance"
 	"prefsky/internal/flat"
-	"prefsky/internal/hybrid"
 	"prefsky/internal/ipotree"
 	"prefsky/internal/order"
 	"prefsky/internal/parallel"
@@ -137,10 +141,12 @@ type Options struct {
 	CompactThreshold int
 }
 
-// scanFallback computes the skyline of the store's current snapshot with the
-// flat SFS kernel — the path tree-backed engines take while their tree is
-// stale.
-func scanFallback(ctx context.Context, snap *flat.Snapshot, pref *order.Preference) ([]data.PointID, error) {
+// scan is the one scan every scan-backed kind runs: the comparator for pref,
+// the rank projection of one pinned snapshot, and the flat SFS kernel over
+// parts row ranges merge-filtered by parallel.SkylineProjected. parts = 1 is
+// a single SkylineRangeCtx over the whole projection; parts <= 0 means
+// GOMAXPROCS.
+func scan(ctx context.Context, snap *flat.Snapshot, pref *order.Preference, parts int) ([]data.PointID, error) {
 	cmp, err := dominance.NewComparator(snap.Schema(), pref)
 	if err != nil {
 		return nil, err
@@ -149,77 +155,116 @@ func scanFallback(ctx context.Context, snap *flat.Snapshot, pref *order.Preferen
 	if err != nil {
 		return nil, err
 	}
-	rows, err := proj.SkylineRangeCtx(ctx, 0, proj.N())
-	if err != nil {
-		return nil, err
-	}
-	return proj.IDs(rows), nil
+	return parallel.SkylineProjected(ctx, proj, parts)
 }
 
-// ipoEngine serves a version-gated IPO-tree over a versioned store: the tree
-// answers while the snapshot version matches its build, mutations route
-// queries to a flat scan of the live snapshot, and compaction rebuilds the
-// tree.
-type ipoEngine struct {
+// treeEngine is every tree-backed kind: a version-gated IPO-tree over a
+// fallback. The tree answers while its build version equals the queried
+// snapshot's and every queried value is materialized; otherwise the query
+// goes to the fallback — SFS-A when sfsa is set, else scan(parts) over the
+// same snapshot. Compaction rebuilds the tree.
+//
+// Acceptance is one rule, applied alike to a fresh, stale or rebuilt tree: a
+// strict engine rejects whatever Tree.Materialized rejects (bare IPO cannot
+// answer an unmaterialized value), a lenient one only what Tree.Validate
+// rejects (the hybrids answer unmaterialized values from the fallback).
+type treeEngine struct {
 	name     string
 	store    *flat.Store
 	template *order.Preference
 	opts     ipotree.Options
+	strict   bool
+	sfsa     *adaptive.Engine
+	parts    int
 	vt       atomic.Pointer[ipotree.Versioned]
+
+	treeHits  atomic.Int64
+	fallbacks atomic.Int64
 }
 
-func (e *ipoEngine) Name() string { return e.name }
+// newTree builds e's first tree from the store's current snapshot and
+// registers the compaction hook that rebuilds it.
+func newTree(e *treeEngine, template *order.Preference) (Engine, error) {
+	snap := e.store.Snapshot()
+	tree, ids, err := ipotree.BuildPoints(e.store.Schema(), snap.Points(), template, e.opts)
+	if err != nil {
+		return nil, err
+	}
+	e.template = tree.Template()
+	e.vt.Store(ipotree.NewVersioned(tree, snap.Version(), ids))
+	e.store.OnCompact(func(snap *flat.Snapshot) {
+		// Build failures keep the stale tree; the fallback keeps serving.
+		ipotree.RebuildInto(&e.vt, snap, e.template, e.opts)
+	})
+	return e, nil
+}
 
-func (e *ipoEngine) Skyline(ctx context.Context, pref *order.Preference) ([]data.PointID, error) {
+func (e *treeEngine) Name() string { return e.name }
+
+// accept applies the acceptance rule to pref against tree, reporting
+// whether the tree holds every node the query needs.
+func (e *treeEngine) accept(tree *ipotree.Tree, pref *order.Preference) (bool, error) {
+	err := tree.Materialized(pref)
+	if err != nil && !e.strict && errors.Is(err, ipotree.ErrNotMaterialized) {
+		return false, nil
+	}
+	return err == nil, err
+}
+
+func (e *treeEngine) Skyline(ctx context.Context, pref *order.Preference) ([]data.PointID, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	snap := e.store.Snapshot()
 	vt := e.vt.Load()
-	if vt.Version() == snap.Version() {
-		return vt.Query(pref)
-	}
-	// Stale tree: run the query against the tree build anyway — not for its
-	// result (the data moved) but for its contract. A preference the current
-	// build rejects (wrong shape, not a refinement, unmaterialized values
-	// under TopK) must keep failing while the tree is stale, or maintenance
-	// timing would flip the same query between error and success.
-	if _, err := vt.Query(pref); err != nil {
+	ok, err := e.accept(vt.Tree(), pref)
+	if err != nil {
 		return nil, err
 	}
-	return scanFallback(ctx, snap, pref)
+	if ok && vt.Version() == snap.Version() {
+		e.treeHits.Add(1)
+		return vt.Query(pref)
+	}
+	e.fallbacks.Add(1)
+	if e.sfsa != nil {
+		return e.sfsa.Query(pref)
+	}
+	return scan(ctx, snap, pref, e.parts)
 }
 
-func (e *ipoEngine) SizeBytes() int { return e.vt.Load().Tree().SizeBytes() }
+// ValidatePreference returns the error Skyline would return for pref
+// without serving it. It walks the tree's nodes but evaluates no set
+// algebra.
+func (e *treeEngine) ValidatePreference(pref *order.Preference) error {
+	_, err := e.accept(e.vt.Load().Tree(), pref)
+	return err
+}
 
-// Tree exposes the current tree build.
-func (e *ipoEngine) Tree() *ipotree.Tree { return e.vt.Load().Tree() }
-
-// ValidatePreference replays the query contract against the current tree
-// build, exactly like the stale path: shape, template-refinement and top-K
-// materialization rejections must hold regardless of how a caller plans to
-// serve the result. Materialized walks the same nodes Query would without
-// evaluating the set algebra, so validating costs node hops, not a skyline.
-func (e *ipoEngine) ValidatePreference(pref *order.Preference) error {
-	return e.vt.Load().Tree().Materialized(pref)
+// SizeBytes reports the tree plus SFS-A when SFS-A is the fallback; a scan
+// fallback keeps nothing.
+func (e *treeEngine) SizeBytes() int {
+	n := e.vt.Load().Tree().SizeBytes()
+	if e.sfsa != nil {
+		n += e.sfsa.SizeBytes()
+	}
+	return n
 }
 
 // Store implements the store-backed introspection hook.
-func (e *ipoEngine) Store() *flat.Store { return e.store }
+func (e *treeEngine) Store() *flat.Store { return e.store }
 
-// Maintainer implements maintenance by mutating the store; the tree goes
-// stale and queries scan until compaction rebuilds it.
-func (e *ipoEngine) Maintainer() Maintainer { return e.store }
-
-// rebuild is the compaction hook: rebuild the version-gated tree against the
-// compacted snapshot (ipotree.RebuildInto); build failures keep the scan
-// fallback serving.
-func (e *ipoEngine) rebuild(snap *flat.Snapshot) {
-	ipotree.RebuildInto(&e.vt, snap, e.template, e.opts)
+// Maintainer mutates through SFS-A when it is the fallback, so its
+// structures track the store, and through the store otherwise. Either way
+// the tree goes stale and queries fall back until compaction rebuilds it.
+func (e *treeEngine) Maintainer() Maintainer {
+	if e.sfsa != nil {
+		return e.sfsa
+	}
+	return e.store
 }
 
 // NewIPOTree builds the full "IPO Tree" engine over a private versioned
-// store.
+// store: strict over a one-range scan.
 func NewIPOTree(ds *data.Dataset, template *order.Preference, opts ipotree.Options) (Engine, error) {
 	if ds == nil {
 		return nil, fmt.Errorf("core: nil dataset")
@@ -232,15 +277,7 @@ func newIPOTree(store *flat.Store, template *order.Preference, opts ipotree.Opti
 	if opts.TopK > 0 {
 		name = fmt.Sprintf("IPO Tree-%d", opts.TopK)
 	}
-	snap := store.Snapshot()
-	tree, ids, err := ipotree.BuildPoints(store.Schema(), snap.Points(), template, opts)
-	if err != nil {
-		return nil, err
-	}
-	e := &ipoEngine{name: name, store: store, template: tree.Template(), opts: opts}
-	e.vt.Store(ipotree.NewVersioned(tree, snap.Version(), ids))
-	store.OnCompact(e.rebuild)
-	return e, nil
+	return newTree(&treeEngine{name: name, store: store, opts: opts, strict: true, parts: 1}, template)
 }
 
 // adaptiveEngine adapts *adaptive.Engine.
@@ -282,13 +319,15 @@ func newAdaptiveSFSStore(store *flat.Store, template *order.Preference) (Engine,
 	return &adaptiveEngine{e: e}, nil
 }
 
-// SFSD is the baseline: no per-preference preprocessing; every query sorts
-// and scans the entire dataset (§5's SFS-D). The engine reads a versioned
-// columnar store: each query grabs the current snapshot lock-free and pays
-// only the rank projection plus the packed-key presort and scan, and
-// Insert/Delete are supported through the store.
+// SFSD is the scan engine: no per-preference preprocessing; every query
+// projects the store's current snapshot lock-free, presorts and scans it.
+// With one range it is §5's SFS-D baseline; NewParallelSFS splits the scan
+// over several ranges and merge-filters them. Insert/Delete are supported
+// through the store.
 type SFSD struct {
+	name  string
 	store *flat.Store
+	parts int
 }
 
 // NewSFSD wraps a dataset as the SFS-D baseline over a private versioned
@@ -297,19 +336,11 @@ func NewSFSD(ds *data.Dataset) (*SFSD, error) {
 	if ds == nil {
 		return nil, fmt.Errorf("core: nil dataset")
 	}
-	return &SFSD{store: flat.NewStore(ds, 0)}, nil
-}
-
-// NewSFSDStore wraps an existing versioned store as the SFS-D baseline.
-func NewSFSDStore(store *flat.Store) (*SFSD, error) {
-	if store == nil {
-		return nil, fmt.Errorf("core: nil store")
-	}
-	return &SFSD{store: store}, nil
+	return &SFSD{name: "SFS-D", store: flat.NewStore(ds, 0), parts: 1}, nil
 }
 
 // Name implements Engine.
-func (s *SFSD) Name() string { return "SFS-D" }
+func (s *SFSD) Name() string { return s.name }
 
 // Skyline implements Engine by running SFS over the whole dataset.
 func (s *SFSD) Skyline(ctx context.Context, pref *order.Preference) ([]data.PointID, error) {
@@ -319,7 +350,7 @@ func (s *SFSD) Skyline(ctx context.Context, pref *order.Preference) ([]data.Poin
 	// The flat scan is cancellable for free, so a disconnected client or
 	// expired deadline frees its worker slot mid-scan instead of burning it
 	// for the full O(N) pass.
-	return scanFallback(ctx, s.store.Snapshot(), pref)
+	return scan(ctx, s.store.Snapshot(), pref, s.parts)
 }
 
 // SizeBytes implements Engine; SFS-D keeps no index (§5: "SFS-D does not use
@@ -336,91 +367,43 @@ func (s *SFSD) Store() *flat.Store { return s.store }
 // Maintainer returns the store-backed maintenance interface.
 func (s *SFSD) Maintainer() Maintainer { return s.store }
 
-// hybridEngine adapts *hybrid.Engine.
-type hybridEngine struct {
-	e *hybrid.Engine
-}
-
-func (h *hybridEngine) Name() string { return "Hybrid" }
-func (h *hybridEngine) Skyline(ctx context.Context, pref *order.Preference) ([]data.PointID, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return h.e.Query(pref)
-}
-func (h *hybridEngine) SizeBytes() int         { return h.e.SizeBytes() }
-func (h *hybridEngine) Store() *flat.Store     { return h.e.Store() }
-func (h *hybridEngine) Maintainer() Maintainer { return h.e }
-func (h *hybridEngine) ValidatePreference(pref *order.Preference) error {
-	return h.e.ValidatePreference(pref)
-}
-
-// NewHybrid builds the §5.3 hybrid: a top-K IPO-tree with SFS-A fallback.
+// NewHybrid builds the §5.3 hybrid: a top-K IPO-tree, lenient over SFS-A.
 func NewHybrid(ds *data.Dataset, template *order.Preference, treeOpts ipotree.Options) (Engine, error) {
-	e, err := hybrid.New(ds, template, treeOpts)
-	if err != nil {
-		return nil, err
+	if ds == nil {
+		return nil, fmt.Errorf("core: nil dataset")
 	}
-	return &hybridEngine{e: e}, nil
+	return newHybridStore(flat.NewStore(ds, 0), template, treeOpts)
 }
 
 func newHybridStore(store *flat.Store, template *order.Preference, treeOpts ipotree.Options) (Engine, error) {
-	e, err := hybrid.NewFromStore(store, template, treeOpts)
+	sfsa, err := adaptive.NewFromStore(store, template)
 	if err != nil {
 		return nil, err
 	}
-	return &hybridEngine{e: e}, nil
+	return newTree(&treeEngine{name: "Hybrid", store: store, opts: treeOpts, sfsa: sfsa}, template)
 }
-
-// parallelEngine adapts *parallel.Engine.
-type parallelEngine struct {
-	e *parallel.Engine
-}
-
-func (p *parallelEngine) Name() string { return "Parallel-SFS" }
-func (p *parallelEngine) Skyline(ctx context.Context, pref *order.Preference) ([]data.PointID, error) {
-	return p.e.Skyline(ctx, pref)
-}
-func (p *parallelEngine) SizeBytes() int         { return p.e.SizeBytes() }
-func (p *parallelEngine) Store() *flat.Store     { return p.e.Store() }
-func (p *parallelEngine) Maintainer() Maintainer { return p.e.Store() }
 
 // NewParallelSFS builds the partitioned multi-core SFS-D counterpart:
-// P concurrent block scans plus a merge-filter. partitions <= 0 defaults to
+// P concurrent range scans plus a merge-filter. partitions <= 0 defaults to
 // GOMAXPROCS.
 func NewParallelSFS(ds *data.Dataset, partitions int) (Engine, error) {
-	e, err := parallel.New(ds, partitions)
-	if err != nil {
-		return nil, err
+	if ds == nil {
+		return nil, fmt.Errorf("core: nil dataset")
 	}
-	return &parallelEngine{e: e}, nil
+	return &SFSD{name: "Parallel-SFS", store: flat.NewStore(ds, 0), parts: partitions}, nil
 }
 
-// parallelHybridEngine adapts *parallel.Hybrid.
-type parallelHybridEngine struct {
-	e *parallel.Hybrid
-}
-
-func (p *parallelHybridEngine) Name() string { return "Parallel-Hybrid" }
-func (p *parallelHybridEngine) Skyline(ctx context.Context, pref *order.Preference) ([]data.PointID, error) {
-	return p.e.Skyline(ctx, pref)
-}
-func (p *parallelHybridEngine) SizeBytes() int         { return p.e.SizeBytes() }
-func (p *parallelHybridEngine) Store() *flat.Store     { return p.e.Store() }
-func (p *parallelHybridEngine) Maintainer() Maintainer { return p.e.Store() }
-func (p *parallelHybridEngine) ValidatePreference(pref *order.Preference) error {
-	return p.e.ValidatePreference(pref)
-}
-
-// NewParallelHybrid builds the hybrid whose unmaterialized-value fallback is
-// the partitioned scan instead of single-threaded SFS-A: tree hits stay
-// instant, and the slow path uses every core.
+// NewParallelHybrid builds the hybrid whose fallback is the partitioned
+// scan instead of single-threaded SFS-A: a tree lenient over scan(P).
 func NewParallelHybrid(ds *data.Dataset, template *order.Preference, treeOpts ipotree.Options, partitions int) (Engine, error) {
-	e, err := parallel.NewHybrid(ds, template, treeOpts, partitions)
-	if err != nil {
-		return nil, err
+	if ds == nil {
+		return nil, fmt.Errorf("core: nil dataset")
 	}
-	return &parallelHybridEngine{e: e}, nil
+	return newParallelHybrid(flat.NewStore(ds, 0), template, treeOpts, partitions)
+}
+
+func newParallelHybrid(store *flat.Store, template *order.Preference, treeOpts ipotree.Options, partitions int) (Engine, error) {
+	return newTree(&treeEngine{name: "Parallel-Hybrid", store: store, opts: treeOpts, parts: partitions}, template)
 }
 
 // Kinds lists the engine names NewByName accepts, in the paper's order with
@@ -466,25 +449,13 @@ func NewFromStore(kind string, store *flat.Store, template *order.Preference, op
 	case "sfsa", "sfs-a":
 		return newAdaptiveSFSStore(store, template)
 	case "sfsd", "sfs-d":
-		e, err := NewSFSDStore(store)
-		if err != nil {
-			return nil, err
-		}
-		return e, nil
+		return &SFSD{name: "SFS-D", store: store, parts: 1}, nil
 	case "hybrid":
 		return newHybridStore(store, template, opts.Tree)
 	case "parallel-sfs", "parallelsfs", "parallel sfs", "psfs":
-		e, err := parallel.NewFromStore(store, opts.Partitions)
-		if err != nil {
-			return nil, err
-		}
-		return &parallelEngine{e: e}, nil
+		return &SFSD{name: "Parallel-SFS", store: store, parts: opts.Partitions}, nil
 	case "parallel-hybrid", "parallelhybrid", "parallel hybrid", "phybrid":
-		e, err := parallel.NewHybridFromStore(store, template, opts.Tree, opts.Partitions)
-		if err != nil {
-			return nil, err
-		}
-		return &parallelHybridEngine{e: e}, nil
+		return newParallelHybrid(store, template, opts.Tree, opts.Partitions)
 	default:
 		return nil, fmt.Errorf("core: unknown engine kind %q (want one of %s)",
 			kind, strings.Join(Kinds(), ", "))
@@ -493,14 +464,10 @@ func NewFromStore(kind string, store *flat.Store, template *order.Preference, op
 
 // Interface conformance checks.
 var (
-	_ Engine          = (*ipoEngine)(nil)
+	_ Engine          = (*treeEngine)(nil)
 	_ Engine          = (*adaptiveEngine)(nil)
 	_ Engine          = (*SFSD)(nil)
-	_ Engine          = (*hybridEngine)(nil)
-	_ Engine          = (*parallelEngine)(nil)
-	_ Engine          = (*parallelHybridEngine)(nil)
 	_ Maintainer      = (*flat.Store)(nil)
 	_ Maintainer      = (*adaptive.Engine)(nil)
-	_ Maintainer      = (*hybrid.Engine)(nil)
 	_ BatchMaintainer = (*flat.Store)(nil)
 )

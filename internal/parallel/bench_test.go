@@ -141,36 +141,3 @@ func BenchmarkSkylineParallel(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkEngineQuery measures the full engine path (comparator build
-// included), the unit the service's worker pool schedules.
-func BenchmarkEngineQuery(b *testing.B) {
-	for _, n := range benchSizes() {
-		d := benchFixture(b, n, gen.Independent)
-		pref := d.cmp.Preference()
-		b.Run(fmt.Sprintf("sequential/N=%d", n), func(b *testing.B) {
-			e, err := New(d.ds, 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := e.Skyline(context.Background(), pref); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("partitioned/N=%d", n), func(b *testing.B) {
-			e, err := New(d.ds, 0) // GOMAXPROCS
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := e.Skyline(context.Background(), pref); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}

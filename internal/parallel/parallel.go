@@ -25,17 +25,13 @@ package parallel
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"prefsky/internal/data"
 	"prefsky/internal/dominance"
 	"prefsky/internal/flat"
-	"prefsky/internal/ipotree"
-	"prefsky/internal/order"
 )
 
 // minAutoBlock is the smallest block a *defaulted* partition count will
@@ -285,178 +281,3 @@ func firstError(errs []error) error {
 	}
 	return ctxErr
 }
-
-// Engine is the "parallel-sfs" core engine: SFS-D divided over P blocks per
-// query. It needs no per-preference preprocessing; it reads a versioned
-// columnar store (a mirror of the base data, not an index — SizeBytes stays
-// zero like SFS-D), so each query grabs the current snapshot lock-free, pays
-// only the O(N·l) rank projection shared by all partitions, and never blocks
-// behind Insert/Delete writers. It is safe for concurrent use.
-type Engine struct {
-	store *flat.Store
-	parts int
-
-	queries atomic.Uint64
-}
-
-// New wraps a dataset as a partitioned SFS engine over a private versioned
-// store. partitions <= 0 defaults to GOMAXPROCS at query time.
-func New(ds *data.Dataset, partitions int) (*Engine, error) {
-	if ds == nil {
-		return nil, fmt.Errorf("parallel: nil dataset")
-	}
-	return NewFromStore(flat.NewStore(ds, 0), partitions)
-}
-
-// NewFromStore wraps an existing versioned store as a partitioned SFS engine
-// — the form the service registry uses, so maintenance and queries share one
-// snapshot-swapped point set.
-func NewFromStore(store *flat.Store, partitions int) (*Engine, error) {
-	if store == nil {
-		return nil, fmt.Errorf("parallel: nil store")
-	}
-	return &Engine{store: store, parts: partitions}, nil
-}
-
-// Partitions returns the configured partition count (0 = GOMAXPROCS).
-func (e *Engine) Partitions() int { return e.parts }
-
-// Store returns the versioned store the engine reads.
-func (e *Engine) Store() *flat.Store { return e.store }
-
-// Skyline answers SKY(pref) with the partitioned scan over the current
-// snapshot.
-func (e *Engine) Skyline(ctx context.Context, pref *order.Preference) ([]data.PointID, error) {
-	e.queries.Add(1)
-	snap := e.store.Snapshot()
-	cmp, err := dominance.NewComparator(snap.Schema(), pref)
-	if err != nil {
-		return nil, err
-	}
-	proj, err := snap.Project(cmp)
-	if err != nil {
-		return nil, err
-	}
-	return SkylineProjected(ctx, proj, e.parts)
-}
-
-// SizeBytes reports zero: like SFS-D the engine keeps no index. The columnar
-// store is an alternate representation of the dataset itself (reported by
-// BlockBytes), not preference-dependent storage in the paper's §5 sense.
-func (e *Engine) SizeBytes() int { return 0 }
-
-// BlockBytes reports the columnar store's footprint.
-func (e *Engine) BlockBytes() int { return e.store.Snapshot().SizeBytes() }
-
-// Queries returns the number of Skyline calls served.
-func (e *Engine) Queries() uint64 { return e.queries.Load() }
-
-// Stats counts how Hybrid queries were routed.
-type Stats struct {
-	TreeHits  int64
-	Fallbacks int64
-}
-
-// Hybrid is the "parallel-hybrid" engine: a (typically top-K restricted)
-// IPO-tree answers queries over materialized values instantly, and queries
-// naming unmaterialized values fall back to the partitioned scan instead of
-// the single-threaded SFS-A fallback of internal/hybrid — the slow path is
-// exactly where multi-core helps.
-//
-// Both halves read one versioned store: the tree is
-// version-gated (it answers only while the snapshot version matches its
-// build), mutations route every query to the partitioned scan over the live
-// snapshot, and compaction rebuilds the tree in the background.
-type Hybrid struct {
-	template *order.Preference
-	treeOpts ipotree.Options
-	vt       atomic.Pointer[ipotree.Versioned]
-	par      *Engine
-
-	treeHits  atomic.Int64
-	fallbacks atomic.Int64
-}
-
-// NewHybrid builds the tree and the partitioned fallback over one dataset's
-// private versioned store.
-func NewHybrid(ds *data.Dataset, template *order.Preference, treeOpts ipotree.Options, partitions int) (*Hybrid, error) {
-	if ds == nil {
-		return nil, fmt.Errorf("parallel: nil dataset")
-	}
-	return NewHybridFromStore(flat.NewStore(ds, 0), template, treeOpts, partitions)
-}
-
-// NewHybridFromStore builds the parallel hybrid against an existing
-// versioned store — the service-registry form — and registers the compaction
-// hook that rebuilds the tree.
-func NewHybridFromStore(store *flat.Store, template *order.Preference, treeOpts ipotree.Options, partitions int) (*Hybrid, error) {
-	if store == nil {
-		return nil, fmt.Errorf("parallel: nil store")
-	}
-	snap := store.Snapshot()
-	tree, ids, err := ipotree.BuildPoints(store.Schema(), snap.Points(), template, treeOpts)
-	if err != nil {
-		return nil, fmt.Errorf("parallel: building tree: %w", err)
-	}
-	par, err := NewFromStore(store, partitions)
-	if err != nil {
-		return nil, err
-	}
-	h := &Hybrid{template: tree.Template(), treeOpts: treeOpts, par: par}
-	h.vt.Store(ipotree.NewVersioned(tree, snap.Version(), ids))
-	store.OnCompact(h.rebuildTree)
-	return h, nil
-}
-
-// rebuildTree is the compaction hook: rebuild the version-gated tree against
-// the compacted snapshot (ipotree.RebuildInto).
-func (h *Hybrid) rebuildTree(snap *flat.Snapshot) {
-	ipotree.RebuildInto(&h.vt, snap, h.template, h.treeOpts)
-}
-
-// Skyline answers with the tree when it is current and every queried value is
-// materialized, and with the partitioned scan otherwise.
-func (h *Hybrid) Skyline(ctx context.Context, pref *order.Preference) ([]data.PointID, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	vt := h.vt.Load()
-	if vt.Version() == h.par.Store().Version() {
-		ids, err := vt.Query(pref)
-		if err == nil {
-			h.treeHits.Add(1)
-			return ids, nil
-		}
-		if !errors.Is(err, ipotree.ErrNotMaterialized) {
-			return nil, err
-		}
-	} else if err := vt.Tree().Validate(pref); err != nil {
-		// The tree is stale, but a query the tree would reject must not start
-		// succeeding just because maintenance happened.
-		return nil, err
-	}
-	h.fallbacks.Add(1)
-	return h.par.Skyline(ctx, pref)
-}
-
-// ValidatePreference reports the error Skyline would return for the
-// preference without running it: the tree's shape and template-refinement
-// checks (the same gate the stale path applies), with unmaterialized values
-// accepted — they fall back to the partitioned scan.
-func (h *Hybrid) ValidatePreference(pref *order.Preference) error {
-	return h.vt.Load().Tree().Validate(pref)
-}
-
-// Store returns the versioned store both halves read.
-func (h *Hybrid) Store() *flat.Store { return h.par.Store() }
-
-// Tree exposes the current IPO-tree build (metrics, tests).
-func (h *Hybrid) Tree() *ipotree.Tree { return h.vt.Load().Tree() }
-
-// Stats returns the routing counters.
-func (h *Hybrid) Stats() Stats {
-	return Stats{TreeHits: h.treeHits.Load(), Fallbacks: h.fallbacks.Load()}
-}
-
-// SizeBytes reports the tree's storage; the fallback keeps nothing.
-func (h *Hybrid) SizeBytes() int { return h.Tree().SizeBytes() }

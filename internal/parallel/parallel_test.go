@@ -13,7 +13,6 @@ import (
 	"prefsky/internal/dominance"
 	"prefsky/internal/flat"
 	"prefsky/internal/gen"
-	"prefsky/internal/ipotree"
 	"prefsky/internal/skyline"
 )
 
@@ -104,124 +103,16 @@ func TestSkylineDefaultPartitions(t *testing.T) {
 	}
 }
 
-// TestEngineMatchesSFS runs the same property through the Engine wrapper
-// (comparator construction included).
-func TestEngineMatchesSFS(t *testing.T) {
-	ds, err := gen.Dataset(gen.Config{
-		N: 300, NumDims: 2, NomDims: 2, Cardinality: 5,
-		Theta: 1, Kind: gen.AntiCorrelated, Seed: 7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tmpl := ds.Schema().EmptyPreference()
-	queries, err := gen.Queries(ds.Schema().Cardinalities(), tmpl, gen.QueryConfig{
-		Order: 2, Count: 8, Mode: gen.Uniform, Seed: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for parts := 1; parts <= 8; parts++ {
-		e, err := New(ds, parts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, q := range queries {
-			cmp, err := dominance.NewComparator(ds.Schema(), q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := skyline.SFS(ds.Points(), cmp)
-			got, err := e.Skyline(context.Background(), q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("parts %d: got %v, want %v", parts, got, want)
-			}
-		}
-	}
-	e, _ := New(ds, 4)
-	if e.Partitions() != 4 {
-		t.Errorf("Partitions() = %d, want 4", e.Partitions())
-	}
-	if e.SizeBytes() != 0 {
-		t.Errorf("SizeBytes() = %d, want 0", e.SizeBytes())
-	}
-}
-
-// TestHybridRoutesAndMatches: materialized queries hit the tree, queries
-// naming unmaterialized values fall back to the partitioned scan, and both
-// paths agree with sequential SFS.
-func TestHybridRoutesAndMatches(t *testing.T) {
-	ds, err := gen.Dataset(gen.Config{
-		N: 400, NumDims: 2, NomDims: 2, Cardinality: 8,
-		Theta: 1, Kind: gen.AntiCorrelated, Seed: 21,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tmpl := ds.Schema().EmptyPreference()
-	h, err := NewHybrid(ds, tmpl, ipotree.Options{TopK: 2}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Uniform queries mostly name unmaterialized values (fallback); TopK-mode
-	// queries only name materialized ones (tree hits).
-	queries, err := gen.Queries(ds.Schema().Cardinalities(), tmpl, gen.QueryConfig{
-		Order: 2, Count: 8, Mode: gen.Uniform, Seed: 22,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hot, err := gen.Queries(ds.Schema().Cardinalities(), tmpl, gen.QueryConfig{
-		Order: 1, Count: 8, Mode: gen.TopK, K: 2, Seed: 23,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	queries = append(queries, hot...)
-	for _, q := range queries {
-		cmp, err := dominance.NewComparator(ds.Schema(), q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := skyline.SFS(ds.Points(), cmp)
-		got, err := h.Skyline(context.Background(), q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("hybrid diverged from SFS: got %v, want %v", got, want)
-		}
-	}
-	st := h.Stats()
-	if st.TreeHits == 0 || st.Fallbacks == 0 {
-		t.Errorf("expected both routes exercised, got %+v", st)
-	}
-	if h.SizeBytes() <= 0 {
-		t.Errorf("hybrid SizeBytes = %d, want > 0", h.SizeBytes())
-	}
-	if h.Tree() == nil {
-		t.Error("Tree() = nil")
-	}
-}
-
 // TestCanceledContext: an already-canceled context aborts before any work,
-// through both the raw function and the engine.
+// on the one-range path and the partitioned path alike.
 func TestCanceledContext(t *testing.T) {
 	ds, cmps := randomFixture(t, 200, 2, 2, 5, 31)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := SkylineProjected(ctx, project(t, ds, cmps[0]), 4); !errors.Is(err, context.Canceled) {
-		t.Errorf("SkylineProjected error = %v, want context.Canceled", err)
-	}
-	e, err := New(ds, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Skyline(ctx, cmps[0].Preference()); !errors.Is(err, context.Canceled) {
-		t.Errorf("Engine error = %v, want context.Canceled", err)
+	for _, parts := range []int{1, 4} {
+		if _, err := SkylineProjected(ctx, project(t, ds, cmps[0]), parts); !errors.Is(err, context.Canceled) {
+			t.Errorf("SkylineProjected(parts=%d) error = %v, want context.Canceled", parts, err)
+		}
 	}
 }
 
@@ -236,17 +127,14 @@ func TestDeadlineExceeded(t *testing.T) {
 }
 
 // TestConcurrentCancellation races cancellation against running queries
-// through the served path — Engine.Skyline, one projection per query — under
-// -race: every outcome must be either a correct result or a context error,
-// never a panic or a wrong skyline.
+// through the served path — one snapshot projection per query, then
+// SkylineProjected — under -race: every outcome must be either a correct
+// result or a context error, never a panic or a wrong skyline.
 func TestConcurrentCancellation(t *testing.T) {
 	ds, cmps := randomFixture(t, 2000, 3, 2, 6, 41)
 	cmp := cmps[0]
 	want := skyline.SFS(ds.Points(), cmp)
-	e, err := New(ds, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	store := flat.NewStore(ds, 0)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -261,7 +149,12 @@ func TestConcurrentCancellation(t *testing.T) {
 				close(done)
 			}()
 			for j := 0; j < 4; j++ {
-				got, err := e.Skyline(ctx, cmp.Preference())
+				proj, err := store.Snapshot().Project(cmp)
+				if err != nil {
+					t.Error(err)
+					break
+				}
+				got, err := SkylineProjected(ctx, proj, 8)
 				if err != nil {
 					if !errors.Is(err, context.Canceled) {
 						t.Errorf("unexpected error: %v", err)
@@ -330,29 +223,6 @@ func TestSkylineProjectedMatchesSFS(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestEngineKernelsAgree: the engine answers exactly like the sequential SFS
-// oracle over the dataset's points, and reports its columnar mirror.
-func TestEngineKernelsAgree(t *testing.T) {
-	ds, cmps := randomFixture(t, 600, 2, 2, 5, 61)
-	e, err := New(ds, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cmp := range cmps {
-		want := skyline.SFS(ds.Points(), cmp)
-		got, err := e.Skyline(context.Background(), cmp.Preference())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("engine diverged from SFS: got %v, want %v", got, want)
-		}
-	}
-	if e.BlockBytes() == 0 {
-		t.Error("engine BlockBytes = 0, want > 0")
 	}
 }
 

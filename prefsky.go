@@ -191,18 +191,21 @@ var (
 	// WriteSchemaJSON renders a schema as JSON.
 	WriteSchemaJSON = data.WriteSchemaJSON
 
-	// NewIPOTree builds the IPO-Tree engine (§3).
+	// NewIPOTree builds the IPO-Tree engine (§3). Its tree answers until the
+	// data changes; then a scan answers until compaction rebuilds the tree.
+	// A preference naming an unmaterialized value is an error.
 	NewIPOTree = core.NewIPOTree
 	// NewAdaptiveSFS builds the Adaptive SFS engine (§4).
 	NewAdaptiveSFS = core.NewAdaptiveSFS
 	// NewSFSD wraps a dataset as the no-preprocessing baseline.
 	NewSFSD = core.NewSFSD
-	// NewHybrid builds the §5.3 hybrid engine.
+	// NewHybrid builds the §5.3 hybrid engine: the IPO-tree answers, and
+	// Adaptive SFS answers unmaterialized values and changed data.
 	NewHybrid = core.NewHybrid
 	// NewParallelSFS builds the partitioned multi-core SFS-D counterpart.
 	NewParallelSFS = core.NewParallelSFS
 	// NewParallelHybrid builds the hybrid whose fallback is the partitioned
-	// scan instead of single-threaded SFS-A.
+	// scan instead of Adaptive SFS.
 	NewParallelHybrid = core.NewParallelHybrid
 	// NewMaintainable builds the concrete Adaptive SFS engine, exposing
 	// progressive iteration (QueryIter) and Insert/Delete maintenance.
