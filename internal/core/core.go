@@ -266,18 +266,7 @@ func (e *treeEngine) Maintainer() Maintainer {
 // NewIPOTree builds the full "IPO Tree" engine over a private versioned
 // store: strict over a one-range scan.
 func NewIPOTree(ds *data.Dataset, template *order.Preference, opts ipotree.Options) (Engine, error) {
-	if ds == nil {
-		return nil, fmt.Errorf("core: nil dataset")
-	}
-	return newIPOTree(flat.NewStore(ds, 0), template, opts)
-}
-
-func newIPOTree(store *flat.Store, template *order.Preference, opts ipotree.Options) (Engine, error) {
-	name := "IPO Tree"
-	if opts.TopK > 0 {
-		name = fmt.Sprintf("IPO Tree-%d", opts.TopK)
-	}
-	return newTree(&treeEngine{name: name, store: store, opts: opts, strict: true, parts: 1}, template)
+	return NewByName("ipo", ds, template, Options{Tree: opts})
 }
 
 // adaptiveEngine adapts *adaptive.Engine.
@@ -304,19 +293,7 @@ func (a *adaptiveEngine) Adaptive() *adaptive.Engine { return a.e }
 
 // NewAdaptiveSFS builds the "SFS-A" engine.
 func NewAdaptiveSFS(ds *data.Dataset, template *order.Preference) (Engine, error) {
-	e, err := adaptive.New(ds, template)
-	if err != nil {
-		return nil, err
-	}
-	return &adaptiveEngine{e: e}, nil
-}
-
-func newAdaptiveSFSStore(store *flat.Store, template *order.Preference) (Engine, error) {
-	e, err := adaptive.NewFromStore(store, template)
-	if err != nil {
-		return nil, err
-	}
-	return &adaptiveEngine{e: e}, nil
+	return NewByName("sfsa", ds, template, Options{})
 }
 
 // SFSD is the scan engine: no per-preference preprocessing; every query
@@ -369,41 +346,20 @@ func (s *SFSD) Maintainer() Maintainer { return s.store }
 
 // NewHybrid builds the §5.3 hybrid: a top-K IPO-tree, lenient over SFS-A.
 func NewHybrid(ds *data.Dataset, template *order.Preference, treeOpts ipotree.Options) (Engine, error) {
-	if ds == nil {
-		return nil, fmt.Errorf("core: nil dataset")
-	}
-	return newHybridStore(flat.NewStore(ds, 0), template, treeOpts)
-}
-
-func newHybridStore(store *flat.Store, template *order.Preference, treeOpts ipotree.Options) (Engine, error) {
-	sfsa, err := adaptive.NewFromStore(store, template)
-	if err != nil {
-		return nil, err
-	}
-	return newTree(&treeEngine{name: "Hybrid", store: store, opts: treeOpts, sfsa: sfsa}, template)
+	return NewByName("hybrid", ds, template, Options{Tree: treeOpts})
 }
 
 // NewParallelSFS builds the partitioned multi-core SFS-D counterpart:
 // P concurrent range scans plus a merge-filter. partitions <= 0 defaults to
 // GOMAXPROCS.
 func NewParallelSFS(ds *data.Dataset, partitions int) (Engine, error) {
-	if ds == nil {
-		return nil, fmt.Errorf("core: nil dataset")
-	}
-	return &SFSD{name: "Parallel-SFS", store: flat.NewStore(ds, 0), parts: partitions}, nil
+	return NewByName("parallel-sfs", ds, nil, Options{Partitions: partitions})
 }
 
 // NewParallelHybrid builds the hybrid whose fallback is the partitioned
 // scan instead of single-threaded SFS-A: a tree lenient over scan(P).
 func NewParallelHybrid(ds *data.Dataset, template *order.Preference, treeOpts ipotree.Options, partitions int) (Engine, error) {
-	if ds == nil {
-		return nil, fmt.Errorf("core: nil dataset")
-	}
-	return newParallelHybrid(flat.NewStore(ds, 0), template, treeOpts, partitions)
-}
-
-func newParallelHybrid(store *flat.Store, template *order.Preference, treeOpts ipotree.Options, partitions int) (Engine, error) {
-	return newTree(&treeEngine{name: "Parallel-Hybrid", store: store, opts: treeOpts, parts: partitions}, template)
+	return NewByName("parallel-hybrid", ds, template, Options{Tree: treeOpts, Partitions: partitions})
 }
 
 // Kinds lists the engine names NewByName accepts, in the paper's order with
@@ -445,17 +401,29 @@ func NewFromStore(kind string, store *flat.Store, template *order.Preference, op
 	}
 	switch strings.ToLower(strings.TrimSpace(kind)) {
 	case "ipo", "ipotree", "ipo tree", "ipo-tree":
-		return newIPOTree(store, template, opts.Tree)
+		name := "IPO Tree"
+		if opts.Tree.TopK > 0 {
+			name = fmt.Sprintf("IPO Tree-%d", opts.Tree.TopK)
+		}
+		return newTree(&treeEngine{name: name, store: store, opts: opts.Tree, strict: true, parts: 1}, template)
 	case "sfsa", "sfs-a":
-		return newAdaptiveSFSStore(store, template)
+		e, err := adaptive.NewFromStore(store, template)
+		if err != nil {
+			return nil, err
+		}
+		return &adaptiveEngine{e: e}, nil
 	case "sfsd", "sfs-d":
 		return &SFSD{name: "SFS-D", store: store, parts: 1}, nil
 	case "hybrid":
-		return newHybridStore(store, template, opts.Tree)
+		sfsa, err := adaptive.NewFromStore(store, template)
+		if err != nil {
+			return nil, err
+		}
+		return newTree(&treeEngine{name: "Hybrid", store: store, opts: opts.Tree, sfsa: sfsa}, template)
 	case "parallel-sfs", "parallelsfs", "parallel sfs", "psfs":
 		return &SFSD{name: "Parallel-SFS", store: store, parts: opts.Partitions}, nil
 	case "parallel-hybrid", "parallelhybrid", "parallel hybrid", "phybrid":
-		return newParallelHybrid(store, template, opts.Tree, opts.Partitions)
+		return newTree(&treeEngine{name: "Parallel-Hybrid", store: store, opts: opts.Tree, parts: opts.Partitions}, template)
 	default:
 		return nil, fmt.Errorf("core: unknown engine kind %q (want one of %s)",
 			kind, strings.Join(Kinds(), ", "))
