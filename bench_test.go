@@ -1,7 +1,7 @@
 // Benchmarks regenerating the paper's evaluation (§5): one family per figure,
 // covering query time (the figures' panel b) with engine storage attached as
-// a custom metric (panel c), plus preprocessing benches (panel a) and the
-// ablations called out in DESIGN.md. Percentage metrics (panel d) are printed
+// a custom metric (panel c), plus preprocessing benches (panel a) and
+// ablations. Percentage metrics (panel d) are printed
 // by cmd/experiments, which runs the full harness.
 //
 // Sizes are laptop-scale (see EXPERIMENTS.md): the paper's 500K-tuple default
@@ -20,7 +20,6 @@ import (
 	"prefsky/internal/dominance"
 	"prefsky/internal/gen"
 	"prefsky/internal/ipotree"
-	"prefsky/internal/materialized"
 	"prefsky/internal/nursery"
 	"prefsky/internal/order"
 	"prefsky/internal/skyline"
@@ -337,41 +336,6 @@ func BenchmarkAblationBaselines(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			skyline.SFS(w.ds.Points(), cmp)
 		}
-	})
-}
-
-// BenchmarkAblationFullMaterialization quantifies the strawman §3 rejects:
-// materializing every preference's skyline vs. the IPO-tree, at a cardinality
-// where full materialization is still feasible at all. Storage is attached as
-// a custom metric; compare the two storage-B columns.
-func BenchmarkAblationFullMaterialization(b *testing.B) {
-	ds, err := gen.Dataset(gen.Config{
-		N: 1000, NumDims: 2, NomDims: 2, Cardinality: 4,
-		Theta: 1, Kind: gen.AntiCorrelated, Seed: 5,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	tmpl := ds.Schema().EmptyPreference()
-	b.Run("materialize-all", func(b *testing.B) {
-		var e *materialized.Engine
-		for i := 0; i < b.N; i++ {
-			if e, err = materialized.Build(ds, tmpl); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(e.SizeBytes()), "storage-B")
-		b.ReportMetric(float64(e.Materialized()), "skylines")
-	})
-	b.Run("ipo-tree", func(b *testing.B) {
-		var tr *ipotree.Tree
-		for i := 0; i < b.N; i++ {
-			if tr, err = ipotree.Build(ds, tmpl, ipotree.Options{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(tr.SizeBytes()), "storage-B")
-		b.ReportMetric(float64(tr.Stats().Nodes), "nodes")
 	})
 }
 

@@ -54,6 +54,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -119,8 +120,8 @@ func run(args []string) error {
 	if *coordMode && *shardMode {
 		return fmt.Errorf("-coordinator and -shard-mode are mutually exclusive")
 	}
-	if !*coordMode && len(shardURLs) > 0 {
-		return fmt.Errorf("-shard requires -coordinator")
+	if err := rejectForeignFlags(fs, *coordMode); err != nil {
+		return err
 	}
 	if *coordMode {
 		if len(shardURLs) == 0 {
@@ -235,6 +236,36 @@ func run(args []string) error {
 		return nil
 	}
 	return serve(*addr, handler, boot, svc.Close)
+}
+
+// nodeOnlyFlags are read only without -coordinator, coordinatorOnlyFlags
+// only with it.
+var (
+	nodeOnlyFlags = []string{
+		"engine", "topk", "partitions", "template", "workers", "query-timeout",
+		"max-queued", "compact-threshold", "readonly", "data-dir", "fsync",
+		"fsync-interval", "rearm-backoff",
+	}
+	coordinatorOnlyFlags = []string{
+		"shard", "partitioner", "shard-timeout", "hedge", "shard-inflight", "probe-interval",
+	}
+)
+
+// rejectForeignFlags fails when a flag set on the command line is one the
+// chosen mode never reads, so a mistyped deployment does not start while
+// silently ignoring part of its configuration.
+func rejectForeignFlags(fs *flag.FlagSet, coordinator bool) error {
+	foreign, verb := coordinatorOnlyFlags, "requires"
+	if coordinator {
+		foreign, verb = nodeOnlyFlags, "is not read with"
+	}
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if err == nil && slices.Contains(foreign, f.Name) {
+			err = fmt.Errorf("-%s %s -coordinator", f.Name, verb)
+		}
+	})
+	return err
 }
 
 // coordinatorConfig gathers the -coordinator mode's flag values.

@@ -1,7 +1,7 @@
 // Package skylint assembles the repo's invariant analyzers into the suite
 // that cmd/skylint (and CI) runs. Each analyzer machine-checks one design
-// argument from DESIGN.md; see the "Enforced invariants" section there for
-// the mapping.
+// argument from DESIGN.md; its "Invariants and their checks" table maps each
+// analyzer to the invariant it enforces.
 package skylint
 
 import (

@@ -1,9 +1,9 @@
-// Package snapshotpin enforces the one-snapshot-per-query invariant from
-// the PR 4/5 MVCC design: within a single function body, flat.Store's
-// Snapshot() may be loaded at most once.
+// Package snapshotpin enforces the one-snapshot-per-query invariant of the
+// versioned store: within a single function body, flat.Store's Snapshot()
+// may be loaded at most once.
 //
 // The store publishes immutable snapshots through an atomic pointer, and
-// the whole torn-snapshot-freedom argument (DESIGN.md, "Versioned columnar
+// the whole torn-snapshot-freedom argument (DESIGN.md, "The versioned
 // store") rests on each query pinning ONE snapshot and threading it by
 // value; a second Snapshot() load in the same body can observe a different
 // epoch, and any computation mixing the two sees a torn state the cache

@@ -120,7 +120,7 @@ type clusterDataset struct {
 	stateStr string // precomputed state(): the hit path must not allocate it
 	total    int
 	parts    [][]data.Point // per-shard partitions, retained for re-pushes
-	points   []data.Point   // id-indexed view for cache-row materialization
+	points   []data.Point   // id-indexed: rendering and semantic-hit candidates
 }
 
 // Coordinator owns the cluster: the shard clients, the dataset→partition
@@ -379,45 +379,29 @@ func (c *Coordinator) Query(ctx context.Context, dataset string, pref *order.Pre
 	return c.scatterQuery(ctx, dataset, cd, canonical, policy)
 }
 
-// semanticHit rescans a cached coarser skyline locally: the cache stores the
-// skyline's materialized points (PutRows), so by Theorem 1 the refined
-// skyline is SFS over those few candidate rows — no shard round trip. With
-// the cache disabled no ancestor can be cached, so the lattice is not walked.
+// semanticHit rescans a cached coarser skyline locally: the coordinator holds
+// every point by id, so by Theorem 1 the refined skyline is SFS over the
+// ancestor's few candidate points — no shard round trip. With the cache
+// disabled no ancestor can be cached, so the lattice is not walked.
 func (c *Coordinator) semanticHit(cd *clusterDataset, dataset, state, key string, canonical *order.Preference) ([]data.PointID, bool) {
 	if c.semLimit < 0 || c.cache.Disabled() {
 		return nil, false
 	}
 	for _, ancestor := range canonical.CoarserKeys(0) {
-		_, rows, ok := c.cache.ProbeRows(service.CacheKey(dataset, state, ancestor))
-		if !ok || len(rows) > c.semLimit {
+		cands, ok := c.cache.Probe(service.CacheKey(dataset, state, ancestor))
+		if !ok || len(cands) > c.semLimit {
 			continue
 		}
 		cmp, err := dominance.NewComparator(cd.schema, canonical)
 		if err != nil {
 			return nil, false
 		}
-		ids := skyline.SFS(rows, cmp)
-		c.cache.PutRows(key, dataset, state, ids, pointsOf(rows, ids))
+		ids := skyline.SFS(skyline.Filter(cd.points, cands), cmp)
+		c.cache.Put(key, dataset, state, ids)
 		c.cache.MarkSemanticHit()
 		return ids, true
 	}
 	return nil, false
-}
-
-// pointsOf selects the points with the given ids (ids ascending, points in
-// arbitrary order) for cache-row materialization.
-func pointsOf(pool []data.Point, ids []data.PointID) []data.Point {
-	want := make(map[data.PointID]data.Point, len(pool))
-	for _, p := range pool {
-		want[p.ID] = p
-	}
-	out := make([]data.Point, 0, len(ids))
-	for _, id := range ids {
-		if p, ok := want[id]; ok {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 // gathered is the scatter phase's outcome across all shards.
@@ -518,12 +502,8 @@ func (c *Coordinator) finish(ctx context.Context, dataset string, cd *clusterDat
 		return res, nil // a policy-dependent superset must never be cached
 	}
 	if !c.cache.Disabled() {
-		pool := make([]data.Point, 0, 64)
-		for i := range g.locals {
-			pool = append(pool, g.locals[i].Points...)
-		}
 		state := cd.state()
-		c.cache.PutRows(service.CacheKey(dataset, state, canonical.CacheKey()), dataset, state, ids, pointsOf(pool, ids))
+		c.cache.Put(service.CacheKey(dataset, state, canonical.CacheKey()), dataset, state, ids)
 	}
 	return res, nil
 }

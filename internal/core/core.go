@@ -117,15 +117,6 @@ func StoreOf(e Engine) *flat.Store {
 	return nil
 }
 
-// VersionOf returns the data version the engine's query results reflect: the
-// store's mutation counter, or 0 for an engine without a store.
-func VersionOf(e Engine) uint64 {
-	if st := StoreOf(e); st != nil {
-		return st.Version()
-	}
-	return 0
-}
-
 // Options configures engine construction for NewByName.
 type Options struct {
 	// Tree configures tree construction for the tree-backed kinds and is
@@ -332,11 +323,8 @@ func (s *SFSD) Skyline(ctx context.Context, pref *order.Preference) ([]data.Poin
 
 // SizeBytes implements Engine; SFS-D keeps no index (§5: "SFS-D does not use
 // extra storage"). The columnar store is an alternate representation of the
-// dataset itself, not preference-dependent storage — see BlockBytes.
+// dataset itself, not preference-dependent storage.
 func (s *SFSD) SizeBytes() int { return 0 }
-
-// BlockBytes reports the columnar store's footprint.
-func (s *SFSD) BlockBytes() int { return s.store.Snapshot().SizeBytes() }
 
 // Store returns the versioned store.
 func (s *SFSD) Store() *flat.Store { return s.store }

@@ -278,8 +278,8 @@ func TestMaintenanceAcrossKinds(t *testing.T) {
 		if !reflect.DeepEqual(got, []data.PointID{id}) {
 			t.Errorf("%s: skyline after dominating insert = %v, want [%d]", kind, got, id)
 		}
-		if VersionOf(e) != 1 {
-			t.Errorf("%s: version = %d, want 1", kind, VersionOf(e))
+		if v := StoreOf(e).Version(); v != 1 {
+			t.Errorf("%s: version = %d, want 1", kind, v)
 		}
 
 		// Delete an original point too, then compact: the store rewrites its

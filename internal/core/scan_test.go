@@ -87,8 +87,8 @@ func TestEngineKernelsAgree(t *testing.T) {
 			t.Fatalf("engine diverged from SFS: got %v, want %v", got, want)
 		}
 	}
-	if e.(*SFSD).BlockBytes() == 0 {
-		t.Error("engine BlockBytes = 0, want > 0")
+	if StoreOf(e).Snapshot().SizeBytes() == 0 {
+		t.Error("engine store SizeBytes = 0, want > 0")
 	}
 }
 

@@ -76,9 +76,11 @@ func BenchmarkKernelSFS(b *testing.B) {
 		b.Run(fmt.Sprintf("N=%d/kernel=flat", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := skyline.SFSFlat(f.blk, f.cmp); err != nil {
+				pr, err := f.blk.Project(f.cmp)
+				if err != nil {
 					b.Fatal(err)
 				}
+				pr.Skyline()
 			}
 		})
 	}

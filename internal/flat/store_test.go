@@ -159,6 +159,18 @@ func TestStoreMatchesOracle(t *testing.T) {
 	}
 }
 
+// idsAscend fails unless the snapshot's ids strictly ascend by row, through
+// the base and on into the delta: RowOf's per-segment binary searches and the
+// monotone id remap of a tree rebuild rely on it.
+func idsAscend(t *testing.T, trial int, which string, s *flat.Snapshot) {
+	t.Helper()
+	for row := int32(1); int(row) < s.Rows(); row++ {
+		if s.ID(row-1) >= s.ID(row) {
+			t.Fatalf("trial %d %s: id %d at row %d follows id %d", trial, which, s.ID(row), row, s.ID(row-1))
+		}
+	}
+}
+
 // TestCompactionEquivalence: a compacted snapshot is query-equivalent to its
 // base+delta+tombstones form — same live points, same skylines (including
 // under all-unlisted preferences), same version — and delete-then-reinsert
@@ -216,6 +228,10 @@ func TestCompactionEquivalence(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			prefs = append(prefs, randomPreference(t, schema, rng))
 		}
+		if before.DeltaRows() == 0 {
+			t.Fatalf("trial %d: no delta rows before compaction", trial)
+		}
+		idsAscend(t, trial, "before", before)
 		wantPoints := before.Points()
 		wantSky := make([][]data.PointID, len(prefs))
 		for i, pref := range prefs {
@@ -227,6 +243,7 @@ func TestCompactionEquivalence(t *testing.T) {
 		if after.Version() != before.Version() {
 			t.Fatalf("trial %d: compaction changed version %d → %d", trial, before.Version(), after.Version())
 		}
+		idsAscend(t, trial, "after", after)
 		if after.DeltaRows() != 0 || after.Tombstones() != 0 {
 			t.Fatalf("trial %d: compacted shape delta %d dead %d", trial, after.DeltaRows(), after.Tombstones())
 		}

@@ -235,7 +235,7 @@ func Load(r io.Reader) (*Tree, error) {
 				d, len(dto.NomOf[d]), len(dto.Sky))
 		}
 		for _, v := range dto.NomOf[d] {
-			// buildBitmaps and filterByValues index by value; out-of-domain
+			// buildBitmaps and filterByPrefix index by value; out-of-domain
 			// entries would panic or silently misfilter.
 			if int(v) < 0 || int(v) >= card {
 				return nil, fmt.Errorf("ipotree: corrupt index: value %d outside cardinality %d in column %d", v, card, d)

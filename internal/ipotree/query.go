@@ -42,12 +42,13 @@ func (t *Tree) query(d int, pref *order.Preference, n *node, s []int32) ([]int32
 	if d == len(t.cards) {
 		return s, nil
 	}
-	entries := pref.Dim(d).Entries()
-	if len(entries) == 0 {
+	ip := pref.Dim(d)
+	if ip.Order() == 0 {
 		return t.query(d+1, pref, n.phi, s)
 	}
 	var x []int32
-	for i, v := range entries {
+	for i := range ip.Order() {
+		v := ip.Entry(i + 1)
 		child := n.children[v]
 		if child == nil {
 			return nil, fmt.Errorf("%w: dimension %d value %d", ErrNotMaterialized, d, v)
@@ -63,7 +64,7 @@ func (t *Tree) query(d int, pref *order.Preference, n *node, s []int32) ([]int32
 		// Theorem 2: SKY(v1..vi) = (SKY(v1..v_{i−1}) ∩ SKY(vi≺*)) ∪ PSKY,
 		// with PSKY the members of the running result whose dimension-d value
 		// is one of the already-merged entries (Algorithm 2).
-		z := t.filterByValues(x, d, entries[:i])
+		z := t.filterByPrefix(x, d, ip, i)
 		x = union(intersect(x, y), z)
 	}
 	return x, nil
@@ -88,11 +89,12 @@ func (t *Tree) materialized(d int, pref *order.Preference, n *node) error {
 	if d == len(t.cards) {
 		return nil
 	}
-	entries := pref.Dim(d).Entries()
-	if len(entries) == 0 {
+	ip := pref.Dim(d)
+	if ip.Order() == 0 {
 		return t.materialized(d+1, pref, n.phi)
 	}
-	for _, v := range entries {
+	for i := range ip.Order() {
+		v := ip.Entry(i + 1)
 		child := n.children[v]
 		if child == nil {
 			return fmt.Errorf("%w: dimension %d value %d", ErrNotMaterialized, d, v)
@@ -104,16 +106,13 @@ func (t *Tree) materialized(d int, pref *order.Preference, n *node) error {
 	return nil
 }
 
-// filterByValues returns the positions in x whose dimension-d value is in vals.
-func (t *Tree) filterByValues(x []int32, d int, vals []order.Value) []int32 {
-	in := make([]bool, t.cards[d])
-	for _, v := range vals {
-		in[v] = true
-	}
+// filterByPrefix returns the positions in x whose dimension-d value is one of
+// ip's first i entries.
+func (t *Tree) filterByPrefix(x []int32, d int, ip *order.Implicit, i int) []int32 {
 	var out []int32
 	col := t.nomOf[d]
 	for _, pos := range x {
-		if in[col[pos]] {
+		if p := ip.Position(col[pos]); p >= 1 && p <= i {
 			out = append(out, pos)
 		}
 	}
@@ -145,12 +144,13 @@ func (t *Tree) accumulate(d int, pref *order.Preference, n *node) ([]int32, erro
 	if d == len(t.cards) {
 		return n.a, nil
 	}
-	entries := pref.Dim(d).Entries()
-	if len(entries) == 0 {
+	ip := pref.Dim(d)
+	if ip.Order() == 0 {
 		return t.accumulate(d+1, pref, n.phi)
 	}
 	var x []int32
-	for i, v := range entries {
+	for i := range ip.Order() {
+		v := ip.Entry(i + 1)
 		child := n.children[v]
 		if child == nil {
 			return nil, fmt.Errorf("%w: dimension %d value %d", ErrNotMaterialized, d, v)
@@ -165,7 +165,7 @@ func (t *Tree) accumulate(d int, pref *order.Preference, n *node) ([]int32, erro
 		}
 		// A(R̃′′′) = A(R̃′) ∪ (A(R̃′′) − B), where B holds the points of
 		// A(R̃′′) whose dimension-d value is among the merged entries.
-		b := t.filterByValues(y, d, entries[:i])
+		b := t.filterByPrefix(y, d, ip, i)
 		x = union(x, difference(y, b))
 	}
 	return x, nil
@@ -186,13 +186,14 @@ func (t *Tree) queryBits(d int, pref *order.Preference, n *node, s *bitset.Set) 
 	if d == len(t.cards) {
 		return s, nil
 	}
-	entries := pref.Dim(d).Entries()
-	if len(entries) == 0 {
+	ip := pref.Dim(d)
+	if ip.Order() == 0 {
 		return t.queryBits(d+1, pref, n.phi, s)
 	}
 	var x *bitset.Set
 	prefixVals := bitset.New(len(t.sky))
-	for i, v := range entries {
+	for i := range ip.Order() {
+		v := ip.Entry(i + 1)
 		child := n.children[v]
 		if child == nil {
 			return nil, fmt.Errorf("%w: dimension %d value %d", ErrNotMaterialized, d, v)
@@ -205,7 +206,7 @@ func (t *Tree) queryBits(d int, pref *order.Preference, n *node, s *bitset.Set) 
 			x = y
 			continue
 		}
-		prefixVals.OrWith(t.valBits[d][entries[i-1]])
+		prefixVals.OrWith(t.valBits[d][ip.Entry(i)])
 		z := x.And(prefixVals)
 		x = x.AndWith(y).OrWith(z)
 	}

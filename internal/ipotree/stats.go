@@ -43,12 +43,13 @@ func (t *Tree) queryCounted(d int, pref *order.Preference, n *node, s []int32, s
 		st.LeafVisits++
 		return s, nil
 	}
-	entries := pref.Dim(d).Entries()
-	if len(entries) == 0 {
+	ip := pref.Dim(d)
+	if ip.Order() == 0 {
 		return t.queryCounted(d+1, pref, n.phi, s, st)
 	}
 	var x []int32
-	for i, v := range entries {
+	for i := range ip.Order() {
+		v := ip.Entry(i + 1)
 		child := n.children[v]
 		if child == nil {
 			return nil, &notMaterializedError{dim: d, value: v}
@@ -62,7 +63,7 @@ func (t *Tree) queryCounted(d int, pref *order.Preference, n *node, s []int32, s
 			continue
 		}
 		st.Merges++
-		z := t.filterByValues(x, d, entries[:i])
+		z := t.filterByPrefix(x, d, ip, i)
 		x = union(intersect(x, y), z)
 	}
 	return x, nil

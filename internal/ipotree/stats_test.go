@@ -109,3 +109,28 @@ func TestQueryWithStatsMergeCounts(t *testing.T) {
 		t.Errorf("merges = %d, want 3 (two level-2 + one level-1)", st.Merges)
 	}
 }
+
+// TestMaterializedAllocs pins the acceptance walk to zero allocations: it
+// reads each dimension's entries in place instead of copying them per node.
+func TestMaterializedAllocs(t *testing.T) {
+	ds, err := gen.Dataset(gen.Config{
+		N: 2000, NumDims: 2, NomDims: 2, Cardinality: 6,
+		Theta: 1, Kind: gen.Independent, Seed: 7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := Build(ds, ds.Schema().EmptyPreference(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pref := order.MustPreference(order.MustImplicit(6, 2, 0, 4), order.MustImplicit(6, 1, 5, 3))
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := tree.Materialized(pref); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Materialized allocates %v times per call, want 0", allocs)
+	}
+}

@@ -2,10 +2,10 @@
 //
 // Nursery is the complete cartesian product of its eight attribute domains
 // (3·5·4·4·3·2·3·3 = 12,960 instances), so the data set is reproduced exactly
-// by deterministic enumeration — no download required (see DESIGN.md,
-// substitution 2). Following the paper, six attributes are totally ordered by
-// their listed (most- to least-desirable) value order and two are nominal:
-// form of the family and number of children, both of cardinality 4.
+// by deterministic enumeration — no download required. Following the paper,
+// six attributes are totally ordered by their listed (most- to
+// least-desirable) value order and two are nominal: form of the family and
+// number of children, both of cardinality 4.
 package nursery
 
 import (

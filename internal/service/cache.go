@@ -65,10 +65,6 @@ type cacheEntry struct {
 	dataset string
 	state   string
 	ids     []data.PointID
-	// rows optionally materializes the skyline's points (same order as ids).
-	// The coordinator of the distributed tier stores them so a semantic hit
-	// can rescan cached candidates locally instead of fanning out to shards.
-	rows []data.Point
 }
 
 // NewCache builds a cache holding at most capacity entries spread over the
@@ -156,20 +152,6 @@ func (c *Cache) Probe(key string) ([]data.PointID, bool) {
 	return e.ids, true
 }
 
-// ProbeRows is Probe for entries stored with PutRows: it additionally
-// returns the materialized skyline points, or reports false when the entry
-// was stored without them.
-func (c *Cache) ProbeRows(key string) ([]data.PointID, []data.Point, bool) {
-	if c.Disabled() {
-		return nil, nil, false
-	}
-	e, ok := c.lookup(key)
-	if !ok || e.rows == nil {
-		return nil, nil, false
-	}
-	return e.ids, e.rows, true
-}
-
 // MarkSemanticHit counts one exact-miss query answered from the refinement
 // lattice.
 func (c *Cache) MarkSemanticHit() { c.semanticHits.Add(1) }
@@ -180,17 +162,6 @@ func (c *Cache) MarkSemanticHit() { c.semanticHits.Add(1) }
 // recorded a different current state for the dataset) is dropped, so racing
 // writers cannot park unreachable results.
 func (c *Cache) Put(key, dataset, state string, ids []data.PointID) {
-	c.put(key, dataset, state, ids, nil)
-}
-
-// PutRows is Put with the skyline's materialized points attached (same order
-// as ids), retrievable through ProbeRows. The coordinator stores every result
-// this way so the semantic path never needs the network.
-func (c *Cache) PutRows(key, dataset, state string, ids []data.PointID, rows []data.Point) {
-	c.put(key, dataset, state, ids, rows)
-}
-
-func (c *Cache) put(key, dataset, state string, ids []data.PointID, rows []data.Point) {
 	if c.Disabled() {
 		return
 	}
@@ -211,7 +182,7 @@ func (c *Cache) put(key, dataset, state string, ids []data.PointID, rows []data.
 		c.stalePuts.Add(1)
 		return
 	}
-	e := &cacheEntry{key: key, dataset: dataset, state: state, ids: ids, rows: rows}
+	e := &cacheEntry{key: key, dataset: dataset, state: state, ids: ids}
 	if el, ok := s.byKey[key]; ok {
 		el.Value = e
 		s.ll.MoveToFront(el)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -217,16 +218,17 @@ func TestConcurrentHammer(t *testing.T) {
 }
 
 // TestCachePutWhileGet rewrites one key with alternating results of
-// different lengths while readers Get and ProbeRows it. A reader must see
-// one whole entry: ids and rows from the same Put, never one slice from each.
+// different lengths while readers Get and Probe it. A reader must see one
+// whole entry: the id slice of one Put, never a mix of two.
 func TestCachePutWhileGet(t *testing.T) {
 	short := []data.PointID{1}
 	long := []data.PointID{1, 2, 3}
-	shortRows := make([]data.Point, len(short))
-	longRows := make([]data.Point, len(long))
+	whole := func(ids []data.PointID) bool {
+		return slices.Equal(ids, short) || slices.Equal(ids, long)
+	}
 	c := NewCache(8, 1)
 	const key, iters = "k", 2000
-	c.PutRows(key, "d", "s", short, shortRows)
+	c.Put(key, "d", "s", short)
 
 	var wg sync.WaitGroup
 	for w := 0; w < 2; w++ {
@@ -235,9 +237,9 @@ func TestCachePutWhileGet(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				if (i+w)%2 == 0 {
-					c.PutRows(key, "d", "s", long, longRows)
+					c.Put(key, "d", "s", long)
 				} else {
-					c.PutRows(key, "d", "s", short, shortRows)
+					c.Put(key, "d", "s", short)
 				}
 			}
 		}(w)
@@ -248,12 +250,12 @@ func TestCachePutWhileGet(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				if ids, ok := c.Get(key); ok && len(ids) != len(short) && len(ids) != len(long) {
-					torn <- "Get returned an id slice of unexpected length"
+				if ids, ok := c.Get(key); ok && !whole(ids) {
+					torn <- "Get returned a torn id slice"
 					return
 				}
-				if ids, rows, ok := c.ProbeRows(key); ok && len(ids) != len(rows) {
-					torn <- "ProbeRows returned ids and rows of different lengths"
+				if ids, ok := c.Probe(key); ok && !whole(ids) {
+					torn <- "Probe returned a torn id slice"
 					return
 				}
 			}

@@ -35,7 +35,7 @@ type node struct {
 	next []*node
 }
 
-// List is the skip list. Create instances with New or NewSeeded.
+// List is the skip list. Create instances with New.
 type List struct {
 	head  *node
 	level int
@@ -44,10 +44,10 @@ type List struct {
 }
 
 // New returns an empty list with a fixed tower seed (deterministic layout).
-func New() *List { return NewSeeded(1) }
+func New() *List { return newSeeded(1) }
 
-// NewSeeded returns an empty list whose tower heights derive from seed.
-func NewSeeded(seed int64) *List {
+// newSeeded returns an empty list whose tower heights derive from seed.
+func newSeeded(seed int64) *List {
 	return &List{
 		head:  &node{next: make([]*node, maxLevel)},
 		level: 1,

@@ -117,7 +117,7 @@ func TestKeyLess(t *testing.T) {
 func TestMatchesSortedSliceProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		l := NewSeeded(seed)
+		l := newSeeded(seed)
 		present := make(map[Key]bool)
 		for op := 0; op < 400; op++ {
 			k := Key{Score: float64(rng.Intn(50)), ID: int32(rng.Intn(40))}

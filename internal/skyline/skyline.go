@@ -160,27 +160,8 @@ func (it *Iterator) Next() (data.Point, bool) {
 	return data.Point{}, false
 }
 
-// Of computes the skyline of a dataset under an implicit preference using SFS.
-// It is the one-call form used as SFS-D: sort and scan the entire dataset for
-// this single query.
-func Of(ds *data.Dataset, cmp *dominance.Comparator) []data.PointID {
-	return SFS(ds.Points(), cmp)
-}
-
-// SFSFlat is the columnar counterpart of SFS: project the block through the
-// comparator's rank tables (one sequential pass computing ranks and scores
-// together) and run the flat kernel, whose inner loop touches only contiguous
-// int32/float64 memory. Results are identical to SFS over the same points.
-func SFSFlat(b *flat.Block, cmp *dominance.Comparator) ([]data.PointID, error) {
-	pr, err := b.Project(cmp)
-	if err != nil {
-		return nil, err
-	}
-	return pr.Skyline(), nil
-}
-
-// Filter returns the subset of points (by id) that appear in ids, preserving
-// canonical ascending order. ids must be sorted.
+// Filter returns the points whose ids appear in ids, in the order of ids.
+// points must be indexed by id (points[i].ID == i).
 func Filter(points []data.Point, ids []data.PointID) []data.Point {
 	out := make([]data.Point, 0, len(ids))
 	for _, id := range ids {

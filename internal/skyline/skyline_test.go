@@ -99,7 +99,7 @@ func TestIteratorProgressive(t *testing.T) {
 func TestOfAndFilter(t *testing.T) {
 	ds := data.Table1()
 	cmp := dominance.MustComparator(ds.Schema(), ds.Schema().EmptyPreference())
-	sky := Of(ds, cmp)
+	sky := SFS(ds.Points(), cmp)
 	pts := Filter(ds.Points(), sky)
 	if len(pts) != len(sky) {
 		t.Fatalf("Filter returned %d points, want %d", len(pts), len(sky))
