@@ -22,13 +22,15 @@
 //
 // Preferences use the library's string syntax ("Attr: a<b<*; Other: c<*").
 // Canonically equal preferences — e.g. a total order and its forced-last
-// prefix — share result-cache entries, so skewed traffic is served hot. An
-// exact cache miss additionally probes the preference's refinement lattice:
-// if a strictly coarser preference's skyline is cached at the same store
-// version, Theorem 1 bounds the refined skyline by those candidates and the
-// flat kernel scans only them (response field "semantic": true;
-// -semantic-limit tunes the largest ancestor worth scanning). /v1/stats
-// reports hits, semanticHits and misses.
+// prefix — share result-cache entries, so skewed traffic is served hot. A
+// write leaves cached answers in place: the next lookup patches an answer to
+// the current version by scanning its ids plus the points inserted since,
+// and runs the engine only if a member was deleted. An exact cache miss
+// additionally probes the preference's refinement lattice: if a strictly
+// coarser preference's skyline is cached, Theorem 1 bounds the refined
+// skyline by those candidates and the flat kernel scans only them (response
+// field "semantic": true; -semantic-limit tunes the largest ancestor worth
+// scanning). /v1/stats reports hits, semanticHits and misses.
 //
 // Every engine kind accepts maintenance: datasets live in a versioned
 // columnar store, queries read atomically-swapped snapshots without ever

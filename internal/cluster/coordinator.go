@@ -389,15 +389,15 @@ func (c *Coordinator) semanticHit(cd *clusterDataset, dataset, state, key string
 	}
 	for _, ancestor := range canonical.CoarserKeys(0) {
 		cands, ok := c.cache.Probe(service.CacheKey(dataset, state, ancestor))
-		if !ok || len(cands) > c.semLimit {
+		if !ok || len(cands.IDs) > c.semLimit {
 			continue
 		}
 		cmp, err := dominance.NewComparator(cd.schema, canonical)
 		if err != nil {
 			return nil, false
 		}
-		ids := skyline.SFS(skyline.Filter(cd.points, cands), cmp)
-		c.cache.Put(key, dataset, state, ids)
+		ids := skyline.SFS(skyline.Filter(cd.points, cands.IDs), cmp)
+		c.cache.Put(key, dataset, service.Answer{IDs: ids})
 		c.cache.MarkSemanticHit()
 		return ids, true
 	}
@@ -503,7 +503,7 @@ func (c *Coordinator) finish(ctx context.Context, dataset string, cd *clusterDat
 	}
 	if !c.cache.Disabled() {
 		state := cd.state()
-		c.cache.Put(service.CacheKey(dataset, state, canonical.CacheKey()), dataset, state, ids)
+		c.cache.Put(service.CacheKey(dataset, state, canonical.CacheKey()), dataset, service.Answer{IDs: ids})
 	}
 	return res, nil
 }

@@ -123,6 +123,26 @@ func (s *Snapshot) rawRowOf(id data.PointID) (int32, bool) {
 	return 0, false
 }
 
+// LiveRowsFrom returns the live global rows whose point id is at least id,
+// ascending. Ids ascend with rows, so the rows form a suffix of each segment,
+// found with one binary search per segment.
+func (s *Snapshot) LiveRowsFrom(id data.PointID) []int32 {
+	i, _ := slices.BinarySearch(s.base.ids, id)
+	j, _ := slices.BinarySearch(s.dids, id)
+	out := make([]int32, 0, s.base.n-i+len(s.dids)-j)
+	for row := i; row < s.base.n; row++ {
+		if !s.deadRow(row) {
+			out = append(out, int32(row))
+		}
+	}
+	for row := s.base.n + j; row < s.Rows(); row++ {
+		if !s.deadRow(row) {
+			out = append(out, int32(row))
+		}
+	}
+	return out
+}
+
 // RowOf resolves a point id to its global row, reporting false for ids that
 // were never assigned or are tombstoned.
 func (s *Snapshot) RowOf(id data.PointID) (int32, bool) {

@@ -61,11 +61,7 @@ func (t *Tree) query(d int, pref *order.Preference, n *node, s []int32) ([]int32
 			x = y
 			continue
 		}
-		// Theorem 2: SKY(v1..vi) = (SKY(v1..v_{i−1}) ∩ SKY(vi≺*)) ∪ PSKY,
-		// with PSKY the members of the running result whose dimension-d value
-		// is one of the already-merged entries (Algorithm 2).
-		z := t.filterByPrefix(x, d, ip, i)
-		x = union(intersect(x, y), z)
+		x = t.merge(x, y, d, ip, i)
 	}
 	return x, nil
 }
@@ -106,13 +102,27 @@ func (t *Tree) materialized(d int, pref *order.Preference, n *node) error {
 	return nil
 }
 
-// filterByPrefix returns the positions in x whose dimension-d value is one of
+// inPrefix reports whether the dimension-d value at position pos is one of
 // ip's first i entries.
-func (t *Tree) filterByPrefix(x []int32, d int, ip *order.Implicit, i int) []int32 {
-	var out []int32
-	col := t.nomOf[d]
+func (t *Tree) inPrefix(pos int32, d int, ip *order.Implicit, i int) bool {
+	p := ip.Position(t.nomOf[d][pos])
+	return p >= 1 && p <= i
+}
+
+// merge is Theorem 2's step SKY(v1..vi) = (SKY(v1..v_{i−1}) ∩ SKY(vi≺*)) ∪
+// PSKY, with PSKY the members of the running result x whose dimension-d value
+// is one of the already-merged entries (Algorithm 2). Both parts are subsets
+// of x, so one pass over x keeps a position when y holds it (a merge pointer
+// into ascending y) or its value is in ip's first i entries; the output stays
+// ascending.
+func (t *Tree) merge(x, y []int32, d int, ip *order.Implicit, i int) []int32 {
+	out := make([]int32, 0, len(x))
+	j := 0
 	for _, pos := range x {
-		if p := ip.Position(col[pos]); p >= 1 && p <= i {
+		for j < len(y) && y[j] < pos {
+			j++
+		}
+		if (j < len(y) && y[j] == pos) || t.inPrefix(pos, d, ip, i) {
 			out = append(out, pos)
 		}
 	}
@@ -164,9 +174,15 @@ func (t *Tree) accumulate(d int, pref *order.Preference, n *node) ([]int32, erro
 			continue
 		}
 		// A(R̃′′′) = A(R̃′) ∪ (A(R̃′′) − B), where B holds the points of
-		// A(R̃′′) whose dimension-d value is among the merged entries.
-		b := t.filterByPrefix(y, d, ip, i)
-		x = union(x, difference(y, b))
+		// A(R̃′′) whose dimension-d value is among the merged entries; the
+		// difference is one filter pass over y.
+		rest := make([]int32, 0, len(y))
+		for _, pos := range y {
+			if !t.inPrefix(pos, d, ip, i) {
+				rest = append(rest, pos)
+			}
+		}
+		x = union(x, rest)
 	}
 	return x, nil
 }

@@ -4,29 +4,6 @@ package ipotree
 // sets are ascending []int32 of positions in the root skyline S, so the set
 // algebra of Theorem 2 runs in linear merges.
 
-// intersect returns a ∩ b. Both inputs must be ascending.
-func intersect(a, b []int32) []int32 {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	out := make([]int32, 0, n)
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	return out
-}
-
 // union returns a ∪ b. Both inputs must be ascending.
 func union(a, b []int32) []int32 {
 	out := make([]int32, 0, len(a)+len(b))

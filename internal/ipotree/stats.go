@@ -14,8 +14,8 @@ type QueryStats struct {
 	NodesVisited int
 	// LeafVisits counts recursion leaves — Π_d max(order_d, 1).
 	LeafVisits int
-	// Merges counts Theorem 2 merge steps — each performs one intersection,
-	// one union and one PSKY filter.
+	// Merges counts Theorem 2 merge steps — each is one pass over the
+	// running result (Tree.merge).
 	Merges int
 }
 
@@ -63,8 +63,7 @@ func (t *Tree) queryCounted(d int, pref *order.Preference, n *node, s []int32, s
 			continue
 		}
 		st.Merges++
-		z := t.filterByPrefix(x, d, ip, i)
-		x = union(intersect(x, y), z)
+		x = t.merge(x, y, d, ip, i)
 	}
 	return x, nil
 }

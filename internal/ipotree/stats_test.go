@@ -134,3 +134,29 @@ func TestMaterializedAllocs(t *testing.T) {
 		t.Errorf("Materialized allocates %v times per call, want 0", allocs)
 	}
 }
+
+// TestQueryAllocs pins the sorted-set evaluator's allocations on the tree of
+// TestMaterializedAllocs: each Theorem-2 merge is one pass over the running
+// result, not an intersection, a prefix filter and a union.
+func TestQueryAllocs(t *testing.T) {
+	ds, err := gen.Dataset(gen.Config{
+		N: 2000, NumDims: 2, NomDims: 2, Cardinality: 6,
+		Theta: 1, Kind: gen.Independent, Seed: 7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := Build(ds, ds.Schema().EmptyPreference(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pref := order.MustPreference(order.MustImplicit(6, 2, 0, 4), order.MustImplicit(6, 1, 5, 3))
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := tree.Query(pref); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 22 {
+		t.Errorf("Query allocates %v times per call, want at most 22", allocs)
+	}
+}

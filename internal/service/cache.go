@@ -3,8 +3,6 @@ package service
 import (
 	"container/list"
 	"hash/maphash"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -12,9 +10,12 @@ import (
 )
 
 // CacheStats reports result-cache counters since construction. Misses counts
-// exact-key misses; SemanticHits counts the subset of those misses that were
+// lookups the cache could not answer, neither directly nor by patching a
+// stale entry; SemanticHits counts the subset of those misses that were
 // answered from the refinement lattice (a cached coarser skyline scanned with
 // the flat kernel), so full engine executions = Misses − SemanticHits.
+// StalePuts counts Puts refused because the entry already reflects a newer
+// store version.
 type CacheStats struct {
 	Hits          uint64 `json:"hits"`
 	SemanticHits  uint64 `json:"semanticHits"`
@@ -26,24 +27,32 @@ type CacheStats struct {
 	Capacity      int    `json:"capacity"`
 }
 
-// Cache is a sharded LRU result cache keyed by (dataset, canonical
-// preference). Sharding keeps lock contention low under concurrent query
-// traffic: a key is hashed to one shard and only that shard's mutex is taken.
-// Cached id slices are shared, not copied — callers must treat them as
-// immutable.
+// Answer is a skyline as the cache holds it: ascending ids, the store version
+// they reflect, and the id watermark of a snapshot at that version (the id of
+// its last row, plus 1). Ids are assigned in ascending order and never
+// reused, so every point inserted after Version has an id ≥ Watermark — what
+// lets the executor bring the answer to a newer snapshot instead of dropping
+// it.
+type Answer struct {
+	IDs       []data.PointID
+	Version   uint64
+	Watermark data.PointID
+}
+
+// Cache is a sharded LRU result cache keyed by (dataset, registration epoch,
+// canonical preference). Sharding keeps lock contention low under concurrent
+// query traffic: a key is hashed to one shard and only that shard's mutex is
+// taken. Cached id slices are shared, not copied — callers must treat them
+// as immutable.
 //
-// Entries are tagged with the dataset state token they were computed against.
-// InvalidateStale records a dataset's current state and reclaims every entry
-// tagged with a superseded one; once a state is recorded, Puts carrying any
-// other state are rejected, so a query racing with maintenance cannot park an
-// unreachable result in the cache (its key embeds the dead state, so it would
-// never be read again, only evicted by LRU pressure).
+// Writes do not sweep the cache: an entry records the store version its
+// answer reflects, and the executor patches an entry from an older version
+// on lookup. Put is monotone per key — it never replaces an entry that
+// reflects a newer version — so a query racing with a writer cannot park an
+// older answer over a fresher one.
 type Cache struct {
 	shards []cacheShard
 	seed   maphash.Seed
-
-	stateMu sync.Mutex
-	states  map[string]string // dataset → current state token
 
 	hits          atomic.Uint64
 	semanticHits  atomic.Uint64
@@ -63,8 +72,7 @@ type cacheShard struct {
 type cacheEntry struct {
 	key     string
 	dataset string
-	state   string
-	ids     []data.PointID
+	ans     Answer
 }
 
 // NewCache builds a cache holding at most capacity entries spread over the
@@ -78,7 +86,7 @@ func NewCache(capacity, shards int) *Cache {
 	if capacity > 0 && shards > capacity {
 		shards = capacity
 	}
-	c := &Cache{shards: make([]cacheShard, shards), seed: maphash.MakeSeed(), states: make(map[string]string)}
+	c := &Cache{shards: make([]cacheShard, shards), seed: maphash.MakeSeed()}
 	if capacity <= 0 {
 		return c
 	}
@@ -133,57 +141,59 @@ func (c *Cache) Get(key string) ([]data.PointID, bool) {
 		return nil, false
 	}
 	c.hits.Add(1)
-	return e.ids, true
+	return e.ans.IDs, true
 }
 
-// Probe returns the cached skyline for the key without touching the hit/miss
-// counters — the ancestor lookup of the semantic cache path, whose single
-// outcome is counted by MarkSemanticHit rather than once per probed key. A
-// found entry is still marked most recently used: serving refinements from it
-// is a use.
-func (c *Cache) Probe(key string) ([]data.PointID, bool) {
+// Probe returns the cached answer for the key without touching the hit/miss
+// counters — the lookup of the executor, which counts the outcome once it
+// knows whether the entry is current or could be patched, and of the
+// semantic cache path, whose single outcome is counted by MarkSemanticHit
+// rather than once per probed key. A found entry is still marked most
+// recently used: serving from it is a use.
+func (c *Cache) Probe(key string) (Answer, bool) {
 	if c.Disabled() {
-		return nil, false
+		return Answer{}, false
 	}
 	e, ok := c.lookup(key)
 	if !ok {
-		return nil, false
+		return Answer{}, false
 	}
-	return e.ids, true
+	return e.ans, true
+}
+
+// record counts one lookup outcome: a hit (served from the cache, directly
+// or patched) or a miss.
+func (c *Cache) record(hit bool) {
+	if hit {
+		c.hits.Add(1)
+	} else {
+		c.misses.Add(1)
+	}
 }
 
 // MarkSemanticHit counts one exact-miss query answered from the refinement
 // lattice.
 func (c *Cache) MarkSemanticHit() { c.semanticHits.Add(1) }
 
-// Put stores the skyline for the key, evicting the shard's least recently
-// used entry when full. dataset and state tag the entry for InvalidateStale /
-// InvalidateDataset; a Put whose state is already superseded (InvalidateStale
-// recorded a different current state for the dataset) is dropped, so racing
-// writers cannot park unreachable results.
-func (c *Cache) Put(key, dataset, state string, ids []data.PointID) {
+// Put stores the answer for the key, evicting the shard's least recently
+// used entry when full. dataset tags the entry for InvalidateDataset. An
+// existing entry that reflects a newer version than a.Version is kept and
+// the Put counted in StalePuts: a query that read an older snapshot
+// finishes after one that read a newer one, and its answer must not replace
+// the fresher one.
+func (c *Cache) Put(key, dataset string, a Answer) {
 	if c.Disabled() {
 		return
 	}
 	s := c.shard(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// The staleness check runs under the shard lock: InvalidateStale records
-	// the new state before sweeping, so either this Put sees the new state
-	// and rejects itself, or it lands before the sweep reaches this shard and
-	// the sweep reclaims it. Only a Put *older* than the recorded state is
-	// stale — a query can read a freshly bumped version and Put before the
-	// writer's invalidation records it, and that entry is the freshest
-	// possible (the eventual sweep keeps it: its state IS the new state).
-	c.stateMu.Lock()
-	cur, tracked := c.states[dataset]
-	c.stateMu.Unlock()
-	if tracked && cur != state && !stateNewer(state, cur) {
-		c.stalePuts.Add(1)
-		return
-	}
-	e := &cacheEntry{key: key, dataset: dataset, state: state, ids: ids}
+	e := &cacheEntry{key: key, dataset: dataset, ans: a}
 	if el, ok := s.byKey[key]; ok {
+		if el.Value.(*cacheEntry).ans.Version > a.Version {
+			c.stalePuts.Add(1)
+			return
+		}
 		el.Value = e
 		s.ll.MoveToFront(el)
 		return
@@ -197,16 +207,21 @@ func (c *Cache) Put(key, dataset, state string, ids []data.PointID) {
 	s.byKey[key] = s.ll.PushFront(e)
 }
 
-// sweep removes every entry of the dataset for which drop returns true,
-// returning the number removed.
-func (c *Cache) sweep(dataset string, drop func(*cacheEntry) bool) int {
+// InvalidateDataset drops every entry tagged with the dataset, returning the
+// number removed. Called when a dataset is removed or replaced: keys embed
+// the registration epoch, so the entries are already unreachable and this
+// reclaims their storage.
+func (c *Cache) InvalidateDataset(dataset string) int {
+	if c.Disabled() {
+		return 0
+	}
 	n := 0
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
 		for el := s.ll.Front(); el != nil; {
 			next := el.Next()
-			if e := el.Value.(*cacheEntry); e.dataset == dataset && drop(e) {
+			if e := el.Value.(*cacheEntry); e.dataset == dataset {
 				s.ll.Remove(el)
 				delete(s.byKey, e.key)
 				n++
@@ -217,79 +232,6 @@ func (c *Cache) sweep(dataset string, drop func(*cacheEntry) bool) int {
 	}
 	c.invalidations.Add(uint64(n))
 	return n
-}
-
-// parseState splits an "epoch.version" token into its two counters.
-func parseState(s string) (epoch, version uint64, ok bool) {
-	e, v, found := strings.Cut(s, ".")
-	if !found {
-		return 0, 0, false
-	}
-	epoch, err := strconv.ParseUint(e, 10, 64)
-	if err != nil {
-		return 0, 0, false
-	}
-	version, err = strconv.ParseUint(v, 10, 64)
-	if err != nil {
-		return 0, 0, false
-	}
-	return epoch, version, true
-}
-
-// stateNewer reports whether token a names a strictly later dataset state
-// than b (higher registration epoch, or same epoch and higher maintenance
-// version). Unparseable tokens are never considered newer, falling back to
-// plain overwrite semantics.
-func stateNewer(a, b string) bool {
-	ae, av, ok := parseState(a)
-	if !ok {
-		return false
-	}
-	be, bv, ok := parseState(b)
-	if !ok {
-		return false
-	}
-	return ae > be || (ae == be && av > bv)
-}
-
-// InvalidateStale records the dataset's current state token and reclaims
-// every cached entry tagged with a superseded one, returning the number
-// removed. Called after maintenance bumps the store version: state-embedding
-// keys already make stale entries unreachable, so this is storage
-// reclamation — without it a write-heavy dataset pins a cache full of
-// unservable results until LRU pressure evicts them.
-//
-// The recorded state is monotone: two writers race their post-mutation
-// invalidations, and if the slower one arrives carrying an older token, a
-// plain overwrite would sweep the newer writer's valid entries and then
-// reject every current-state Put until the next mutation. An older (or
-// equal) token is therefore a no-op when a newer one is already recorded.
-func (c *Cache) InvalidateStale(dataset, state string) int {
-	if c.Disabled() {
-		return 0
-	}
-	c.stateMu.Lock()
-	if cur, ok := c.states[dataset]; ok && !stateNewer(state, cur) {
-		c.stateMu.Unlock()
-		return 0
-	}
-	c.states[dataset] = state
-	c.stateMu.Unlock()
-	return c.sweep(dataset, func(e *cacheEntry) bool { return e.state != state })
-}
-
-// InvalidateDataset drops every entry tagged with the dataset, returning the
-// number removed, and forgets the dataset's recorded state (the name may be
-// re-registered over different data under a fresh epoch). Called when a
-// dataset is removed.
-func (c *Cache) InvalidateDataset(dataset string) int {
-	if c.Disabled() {
-		return 0
-	}
-	c.stateMu.Lock()
-	delete(c.states, dataset)
-	c.stateMu.Unlock()
-	return c.sweep(dataset, func(*cacheEntry) bool { return true })
 }
 
 // Len returns the number of cached entries.

@@ -228,7 +228,7 @@ func TestCachePutWhileGet(t *testing.T) {
 	}
 	c := NewCache(8, 1)
 	const key, iters = "k", 2000
-	c.Put(key, "d", "s", short)
+	c.Put(key, "d", Answer{IDs: short})
 
 	var wg sync.WaitGroup
 	for w := 0; w < 2; w++ {
@@ -237,9 +237,9 @@ func TestCachePutWhileGet(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				if (i+w)%2 == 0 {
-					c.Put(key, "d", "s", long)
+					c.Put(key, "d", Answer{IDs: long})
 				} else {
-					c.Put(key, "d", "s", short)
+					c.Put(key, "d", Answer{IDs: short})
 				}
 			}
 		}(w)
@@ -254,7 +254,7 @@ func TestCachePutWhileGet(t *testing.T) {
 					torn <- "Get returned a torn id slice"
 					return
 				}
-				if ids, ok := c.Probe(key); ok && !whole(ids) {
+				if a, ok := c.Probe(key); ok && !whole(a.IDs) {
 					torn <- "Probe returned a torn id slice"
 					return
 				}

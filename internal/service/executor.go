@@ -25,12 +25,14 @@ type Outcome int8
 const (
 	// OutcomeEngine: a full engine execution (cold scan or tree query).
 	OutcomeEngine Outcome = iota
-	// OutcomeExact: served straight from the result cache.
+	// OutcomeExact: served from the result cache — straight, or patched
+	// forward from an entry cached at an older store version by one scan of
+	// its ids plus the points inserted since.
 	OutcomeExact
 	// OutcomeSemantic: an exact-key miss answered from the refinement
-	// lattice — a strictly coarser preference's skyline was cached at the
-	// same store state, so by Theorem 1 the flat kernel ran over those few
-	// candidate rows instead of the whole dataset.
+	// lattice — a strictly coarser preference's skyline was cached, so by
+	// Theorem 1 the flat kernel ran over those few candidate rows (plus the
+	// points inserted since) instead of the whole dataset.
 	OutcomeSemantic
 )
 
@@ -45,8 +47,8 @@ func (o Outcome) String() string {
 	}
 }
 
-// CacheHit reports whether the result came straight from the cache, with no
-// scan at all.
+// CacheHit reports whether the result came from the cache entry of the
+// preference itself, current or patched.
 func (o Outcome) CacheHit() bool { return o == OutcomeExact }
 
 // Semantic reports whether the result was derived from a cached coarser
@@ -65,11 +67,12 @@ type QueryResult struct {
 }
 
 // Executor runs queries through the result cache with a bounded worker pool:
-// at most workers engine queries execute at once, so a traffic burst degrades
-// to queueing instead of unbounded goroutine and CPU pressure. Cache lookups
-// do not consume a worker slot — hits return immediately even under load.
-// Neither do semantic (lattice) hits: bounded by the candidate limit, the
-// candidate-restricted scan is closer to a cache hit than an engine query.
+// at most workers scans execute at once, so a traffic burst degrades to
+// queueing instead of unbounded goroutine and CPU pressure. A cache entry at
+// the current store version is served without a worker slot — such hits
+// return immediately even under load. Every scan takes a slot: the engine's,
+// the patch of an entry cached at an older version, and the candidate scan
+// of a lattice (semantic) hit.
 //
 // Every query is context-bound: a caller whose context is canceled while
 // queued for a worker slot leaves the queue immediately (a disconnected HTTP
@@ -78,9 +81,9 @@ type QueryResult struct {
 // deadline-bounds each query from the moment it misses the cache.
 //
 // The queue in front of the pool is bounded: beyond maxQueued waiters, new
-// engine queries are shed immediately with ErrOverloaded instead of parking
-// goroutines without limit. Cache and semantic hits never take a slot, so
-// they stay unaffected by overload.
+// scans are shed immediately with ErrOverloaded instead of parking
+// goroutines without limit. Current cache hits never take a slot, so they
+// stay unaffected by overload.
 type Executor struct {
 	reg       *Registry
 	cache     *Cache
@@ -163,15 +166,14 @@ func (x *Executor) acquireSlot(ctx context.Context) (release func(), err error) 
 	}
 }
 
-// cacheKey names a result: dataset, its registration + maintenance state,
-// and the preference up to canonical equivalence (prefKey is
-// order.Preference.CacheKey of the canonical form). The dataset name — the
-// only free-text component — is length-prefixed, so a name containing the
-// separator byte cannot make two distinct (dataset, state, preference)
-// triples encode the same key; state ("epoch.version") and the preference
-// key are separator-free by construction. Embedding the state means a racing
-// Put after maintenance (or after a remove/re-add cycle) lands under a dead
-// key instead of poisoning the new state.
+// cacheKey names a result: dataset, its registration epoch token
+// (Registry.State), and the preference up to canonical equivalence (prefKey
+// is order.Preference.CacheKey of the canonical form). The dataset name —
+// the only free-text component — is length-prefixed, so a name containing
+// the separator byte cannot make two distinct (dataset, state, preference)
+// triples encode the same key; the token and the preference key are
+// separator-free by construction. The store version is not in the key: an
+// entry records it, and a lookup at a newer version patches the entry.
 func cacheKey(dataset, state, prefKey string) string {
 	return fmt.Sprintf("%d\x1f%s\x1f%s\x1f%s", len(dataset), dataset, state, prefKey)
 }
@@ -212,78 +214,109 @@ func (x *Executor) withTimeout(ctx context.Context) (context.Context, context.Ca
 	return ctx, func() {}
 }
 
+// lookup probes the exact key. A current entry — one that reflects the
+// store's version now — is a hit served without a slot (current is true).
+// Otherwise the stale entry, if any, is returned for the caller to patch
+// under a slot, and the outcome is counted once the patch decides it.
+func (x *Executor) lookup(e *dsEntry, key string) (a Answer, found, current bool) {
+	a, found = x.cache.Probe(key)
+	if found && a.Version == e.version() {
+		x.cache.record(true)
+		return a, true, true
+	}
+	return a, found, false
+}
+
+// cached answers a canonical preference from the cache under a held worker
+// slot: the stale exact entry (found) patched forward, else the refinement
+// lattice. It counts the exact outcome and reports false when the engine
+// must run.
+func (x *Executor) cached(ctx context.Context, e *dsEntry, key string, pref *order.Preference, stale Answer, found bool) ([]data.PointID, Outcome, bool) {
+	if found {
+		if a, ok, err := e.candidates(ctx, pref, stale); err == nil && ok {
+			x.cache.Put(key, e.name, a)
+			x.cache.record(true)
+			return a.IDs, OutcomeExact, true
+		}
+	}
+	x.cache.record(false)
+	if ids, ok := x.semanticHit(ctx, e, key, pref); ok {
+		return ids, OutcomeSemantic, true
+	}
+	return nil, OutcomeEngine, false
+}
+
 // queryCanonical is Query after canonicalization and accounting: pref must
-// already be canonical and counted against the query counter. It probes the
-// cache — exact key, then the refinement lattice — and runs the engine on a
-// miss.
+// already be canonical and counted against the query counter. A current
+// exact hit returns at once; everything else — patch, lattice scan, engine —
+// runs under one worker slot and the per-query deadline.
 func (x *Executor) queryCanonical(ctx context.Context, dataset string, pref *order.Preference) (ids []data.PointID, outcome Outcome, err error) {
-	state, err := x.reg.State(dataset)
+	e, err := x.reg.entry(dataset)
 	if err != nil {
 		return nil, OutcomeEngine, err
 	}
-	key := cacheKey(dataset, state, pref.CacheKey())
-	if ids, ok := x.cache.Get(key); ok {
-		return ids, OutcomeExact, nil
+	key := cacheKey(dataset, e.token, pref.CacheKey())
+	stale, found, current := x.lookup(e, key)
+	if current {
+		return stale.IDs, OutcomeExact, nil
 	}
 	ctx, cancel := x.withTimeout(ctx)
 	defer cancel()
-	if ids, ok := x.semanticHit(ctx, dataset, state, key, pref); ok {
-		return ids, OutcomeSemantic, nil
+	release, err := x.acquireSlot(ctx)
+	if err != nil {
+		x.cache.record(false)
+		return nil, OutcomeEngine, err
 	}
-	ids, err = x.queryEngine(ctx, dataset, pref)
+	defer release()
+	if ids, outcome, ok := x.cached(ctx, e, key, pref, stale, found); ok {
+		return ids, outcome, nil
+	}
+	ids, err = x.queryEngine(ctx, e, key, pref)
 	return ids, OutcomeEngine, err
 }
 
 // queryEngine runs a canonical preference that has already missed the cache
-// on the dataset's engine under one worker slot, caching the result.
-func (x *Executor) queryEngine(ctx context.Context, dataset string, pref *order.Preference) ([]data.PointID, error) {
-	release, err := x.acquireSlot(ctx)
+// on the dataset's engine, under a worker slot the caller holds, caching the
+// result.
+func (x *Executor) queryEngine(ctx context.Context, e *dsEntry, key string, pref *order.Preference) ([]data.PointID, error) {
+	a, cacheable, err := e.query(ctx, pref)
 	if err != nil {
 		return nil, err
 	}
-	defer release()
-	ids, state, err := x.reg.Query(ctx, dataset, pref)
-	if err != nil {
-		return nil, err
+	if cacheable {
+		x.cache.Put(key, e.name, a)
 	}
-	// An empty state means a writer published while the engine ran: the
-	// result is a valid point-in-time answer but names no single version, so
-	// it is served without being cached.
-	if state != "" {
-		x.cache.Put(cacheKey(dataset, state, pref.CacheKey()), dataset, state, ids)
-	}
-	return ids, nil
+	return a.IDs, nil
 }
 
 // semanticHit probes the refinement lattice on an exact-key miss: if a
-// strictly coarser preference's skyline is cached at the same dataset state,
-// Theorem 1 restricts the refined skyline to those candidates, so the flat
-// kernel scans a few hundred rows instead of the whole dataset. Probes run
-// nearest-first (the most refined cached ancestor has the smallest skyline);
-// cached ancestors larger than the candidate limit are skipped. A served
-// result is inserted under its own exact key, so the next identical query —
-// and further refinements — hit directly.
-func (x *Executor) semanticHit(ctx context.Context, dataset, state, key string, pref *order.Preference) ([]data.PointID, bool) {
+// strictly coarser preference's skyline is cached, Theorem 1 restricts the
+// refined skyline to those candidates plus the points inserted since they
+// were cached, so the flat kernel scans a few hundred rows instead of the
+// whole dataset. Probes run nearest-first (the most refined cached ancestor
+// has the smallest skyline); cached ancestors larger than the candidate
+// limit are skipped. A served result is inserted under its own exact key,
+// so the next identical query — and further refinements — hit directly.
+func (x *Executor) semanticHit(ctx context.Context, e *dsEntry, key string, pref *order.Preference) ([]data.PointID, bool) {
 	if x.semLimit < 0 || x.cache.Disabled() {
 		// No cached ancestors can exist with the cache disabled — skip the
 		// lattice enumeration instead of paying for it on every query.
 		return nil, false
 	}
 	for _, ancestor := range pref.CoarserKeys(0) {
-		cand, ok := x.cache.Probe(cacheKey(dataset, state, ancestor))
-		if !ok || len(cand) > x.semLimit {
+		cand, ok := x.cache.Probe(cacheKey(e.name, e.token, ancestor))
+		if !ok || len(cand.IDs) > x.semLimit {
 			continue
 		}
-		ids, served, err := x.reg.QueryCandidates(ctx, dataset, state, pref, cand)
+		a, served, err := e.candidates(ctx, pref, cand)
 		if err != nil || !served {
-			// The store moved past the cached state, or the
-			// preference/context failed — all cases where the cold path must
-			// decide.
+			// A member of the ancestor was deleted, or the preference or
+			// context failed — all cases where the cold path must decide.
 			return nil, false
 		}
-		x.cache.Put(key, dataset, state, ids)
+		x.cache.Put(key, e.name, a)
 		x.cache.MarkSemanticHit()
-		return ids, true
+		return a.IDs, true
 	}
 	return nil, false
 }
@@ -293,6 +326,9 @@ func (x *Executor) semanticHit(ctx context.Context, dataset, state, key string, 
 // every member index.
 type batchGroup struct {
 	pref    *order.Preference // canonical
+	key     string
+	stale   Answer // the exact entry cached at an older version, if found
+	found   bool
 	members []int
 }
 
@@ -300,10 +336,9 @@ type batchGroup struct {
 // up to canonical equivalence — two spellings of the same preference must
 // return the same skyline, so each distinct preference is answered once and
 // the result fanned back to every index that asked for it. Distinct members
-// then probe the cache (exact key, then the refinement lattice), and the
-// remaining misses run as one shared-scan registry pass (flat.SkylineBatch)
-// under a single worker slot. A single miss, or misses sharing too little
-// structure for the shared scan (flat.ErrBatchWindow), run on the engine as
+// then probe the cache; current exact hits return at once, and the rest are
+// answered under one worker slot and one deadline (batchScans). Misses the
+// shared scan declines (flat.ErrBatchWindow) run on the engine as
 // independent queries across the pool, without probing the cache again.
 //
 // Results are positional; each carries its own error so one bad preference
@@ -346,32 +381,28 @@ func (x *Executor) Batch(ctx context.Context, dataset string, prefs []*order.Pre
 		}
 	}
 
-	state, err := x.reg.State(dataset)
+	e, err := x.reg.entry(dataset)
 	if err != nil {
 		for _, g := range groups {
 			fan(g, nil, OutcomeEngine, err)
 		}
 		return out
 	}
-	misses := make([]batchGroup, 0, len(groups))
+	pending := make([]batchGroup, 0, len(groups))
 	for _, g := range groups {
-		key := cacheKey(dataset, state, g.pref.CacheKey())
-		if ids, ok := x.cache.Get(key); ok {
-			fan(g, ids, OutcomeExact, nil)
+		g.key = cacheKey(dataset, e.token, g.pref.CacheKey())
+		a, found, current := x.lookup(e, g.key)
+		if current {
+			fan(g, a.IDs, OutcomeExact, nil)
 			continue
 		}
-		if ids, ok := x.semanticHit(ctx, dataset, state, key, g.pref); ok {
-			fan(g, ids, OutcomeSemantic, nil)
-			continue
-		}
-		misses = append(misses, g)
+		g.stale, g.found = a, found
+		pending = append(pending, g)
 	}
-	if len(misses) == 0 {
+	if len(pending) == 0 {
 		return out
 	}
-	if len(misses) > 1 && x.batchEngine(ctx, dataset, misses, fan) {
-		return out
-	}
+	misses := x.batchScans(ctx, e, pending, fan)
 
 	var wg sync.WaitGroup
 	for _, g := range misses {
@@ -380,7 +411,13 @@ func (x *Executor) Batch(ctx context.Context, dataset string, prefs []*order.Pre
 			defer wg.Done()
 			ctx, cancel := x.withTimeout(ctx)
 			defer cancel()
-			ids, err := x.queryEngine(ctx, dataset, g.pref)
+			release, err := x.acquireSlot(ctx)
+			if err != nil {
+				fan(g, nil, OutcomeEngine, err)
+				return
+			}
+			defer release()
+			ids, err := x.queryEngine(ctx, e, g.key, g.pref)
 			fan(g, ids, OutcomeEngine, err)
 		}()
 	}
@@ -388,12 +425,12 @@ func (x *Executor) Batch(ctx context.Context, dataset string, prefs []*order.Pre
 	return out
 }
 
-// batchEngine answers the remaining miss groups in one vectorized registry
-// pass under a single worker slot and per-batch deadline, caching each
-// member's result exactly as the single-query path would. It reports false —
-// with nothing fanned — when the registry declines the shared scan or fails
-// outright, letting the caller fall back to independent queries.
-func (x *Executor) batchEngine(ctx context.Context, dataset string, groups []batchGroup, fan func(batchGroup, []data.PointID, Outcome, error)) bool {
+// batchScans answers the groups that found no current exact entry under one
+// worker slot and one deadline: each group's stale entry is patched or its
+// lattice scanned; a lone remaining miss runs on the engine, and two or more
+// run as one shared scan (batchEngine). It returns the misses left over when
+// the shared scan declines; every other group has been fanned.
+func (x *Executor) batchScans(ctx context.Context, e *dsEntry, groups []batchGroup, fan func(batchGroup, []data.PointID, Outcome, error)) []batchGroup {
 	ctx, cancel := x.withTimeout(ctx)
 	defer cancel()
 	release, err := x.acquireSlot(ctx)
@@ -401,16 +438,41 @@ func (x *Executor) batchEngine(ctx context.Context, dataset string, groups []bat
 		// Canceled while queued or shed at admission — nothing will serve
 		// these members.
 		for _, g := range groups {
+			x.cache.record(false)
 			fan(g, nil, OutcomeEngine, err)
 		}
-		return true
+		return nil
 	}
 	defer release()
+	misses := make([]batchGroup, 0, len(groups))
+	for _, g := range groups {
+		if ids, oc, ok := x.cached(ctx, e, g.key, g.pref, g.stale, g.found); ok {
+			fan(g, ids, oc, nil)
+			continue
+		}
+		misses = append(misses, g)
+	}
+	switch {
+	case len(misses) == 1:
+		ids, err := x.queryEngine(ctx, e, misses[0].key, misses[0].pref)
+		fan(misses[0], ids, OutcomeEngine, err)
+	case len(misses) > 1 && !x.batchEngine(ctx, e, misses, fan):
+		return misses
+	}
+	return nil
+}
+
+// batchEngine answers the remaining miss groups in one vectorized pass
+// under the caller's worker slot, caching each member's result exactly as
+// the single-query path would. It reports false — with nothing fanned — when
+// the shared scan declines or fails outright, letting the caller fall back to
+// independent queries.
+func (x *Executor) batchEngine(ctx context.Context, e *dsEntry, groups []batchGroup, fan func(batchGroup, []data.PointID, Outcome, error)) bool {
 	run := make([]*order.Preference, len(groups))
 	for i, g := range groups {
 		run[i] = g.pref
 	}
-	items, state, ok, err := x.reg.QueryBatch(ctx, dataset, run)
+	items, at, ok, err := e.queryBatch(ctx, run)
 	if err != nil || !ok {
 		return false
 	}
@@ -420,11 +482,9 @@ func (x *Executor) batchEngine(ctx context.Context, dataset string, groups []bat
 			fan(g, nil, OutcomeEngine, it.Err)
 			continue
 		}
-		// An empty state means a writer published while the scan ran: valid
-		// point-in-time answers, served without being cached.
-		if state != "" {
-			x.cache.Put(cacheKey(dataset, state, g.pref.CacheKey()), dataset, state, it.IDs)
-		}
+		a := at
+		a.IDs = it.IDs
+		x.cache.Put(g.key, e.name, a)
 		fan(g, it.IDs, OutcomeEngine, nil)
 	}
 	return true

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"prefsky/internal/data"
 	"prefsky/internal/gen"
 	"prefsky/internal/order"
 )
@@ -167,5 +168,57 @@ func TestQueueCapDefaults(t *testing.T) {
 	}
 	if got := NewExecutor(reg, NewCache(0, 1), 4, 0, 0, 3).QueueCap(); got != 3 {
 		t.Fatalf("explicit cap = %d, want 3", got)
+	}
+}
+
+// TestLatticeScanRespectsAdmission: a lattice (semantic) hit scans candidate
+// rows, so it takes a worker slot like any other scan. With the only worker
+// busy and the admission queue full, a query that would hit semantically —
+// single or in a batch — is shed with ErrOverloaded, while a current exact
+// hit is still served without a slot.
+func TestLatticeScanRespectsAdmission(t *testing.T) {
+	reg := NewRegistry()
+	if err := reg.Add("d", data.Table1(), EngineConfig{Kind: "sfsd"}); err != nil {
+		t.Fatal(err)
+	}
+	schema := data.Table1().Schema()
+	parse := func(spec string) *order.Preference {
+		p, err := data.ParsePreference(schema, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	coarse, refined, other := parse("Hotel-group: T<*"), parse("Hotel-group: T<M<*"), parse("Hotel-group: H<*")
+	x := NewExecutor(reg, NewCache(16, 1), 1, 0, 0, 1)
+	if _, outcome, err := x.Query(context.Background(), "d", coarse); err != nil || outcome != OutcomeEngine {
+		t.Fatalf("warmup: outcome=%v err=%v", outcome, err)
+	}
+
+	x.sem <- struct{}{} // the only worker is busy
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		x.Query(ctx, "d", other) // takes the queue's single seat
+	}()
+	waitQueued(t, x, 1)
+
+	if _, outcome, err := x.Query(context.Background(), "d", refined); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("lattice scan over a full queue: outcome=%v err=%v, want ErrOverloaded", outcome, err)
+	}
+	if res := x.Batch(context.Background(), "d", []*order.Preference{refined}); !errors.Is(res[0].Err, ErrOverloaded) {
+		t.Fatalf("batched lattice scan over a full queue: outcome=%v err=%v, want ErrOverloaded", res[0].Outcome, res[0].Err)
+	}
+	if _, outcome, err := x.Query(context.Background(), "d", coarse); err != nil || outcome != OutcomeExact {
+		t.Fatalf("current exact hit under overload: outcome=%v err=%v", outcome, err)
+	}
+
+	cancel()
+	wg.Wait()
+	<-x.sem
+	if _, outcome, err := x.Query(context.Background(), "d", refined); err != nil || outcome != OutcomeSemantic {
+		t.Fatalf("after drain: outcome=%v err=%v, want semantic", outcome, err)
 	}
 }

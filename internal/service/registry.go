@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -70,7 +71,7 @@ type DatasetInfo struct {
 	Maintainable bool   `json:"maintainable"`
 	ReadOnly     bool   `json:"readOnly,omitempty"`
 	EngineBytes  int    `json:"engineBytes"`
-	Queries      uint64 `json:"queries"`
+	Queries      uint64 `json:"queries"` // engine executions; cache hits, patches and lattice scans run none
 	Version      uint64 `json:"version"`
 	// Health is the dataset's durability health ("ok", "recovering",
 	// "degraded"); memory-only datasets are always "ok".
@@ -83,12 +84,12 @@ type DatasetInfo struct {
 // the engine's versioned store through atomically-swapped snapshots and are
 // never blocked by writers; writers serialize inside the store (and, for
 // SFS-A, inside the engine's structure lock). version identifies the data a
-// query result reflects; epoch is the registry-wide registration sequence
-// number, so a name removed and re-added never repeats a (epoch, version)
-// pair.
+// query result reflects; token renders the registry-wide registration
+// sequence number (epoch), so a name removed and re-added never shares a
+// cache key with its earlier registration.
 type dsEntry struct {
 	name      string
-	epoch     uint64
+	token     string
 	schema    *data.Schema
 	store     *flat.Store
 	eng       core.Engine
@@ -97,15 +98,20 @@ type dsEntry struct {
 	validator core.PreferenceValidator // nil when the engine accepts everything
 	readOnly  bool
 
-	queries atomic.Uint64
+	queries atomic.Uint64 // engine executions
 }
 
 // version returns the data version the entry's query results reflect.
 func (e *dsEntry) version() uint64 { return e.store.Version() }
 
-// state renders the cache-state token "epoch.version" for a version.
-func (e *dsEntry) state(version uint64) string {
-	return fmt.Sprintf("%d.%d", e.epoch, version)
+// watermark returns the id of the snapshot's last row plus 1 (0 when it has
+// no rows): every point inserted after the snapshot's version has an id at
+// or above it.
+func watermark(snap *flat.Snapshot) data.PointID {
+	if snap.Rows() == 0 {
+		return 0
+	}
+	return snap.ID(int32(snap.Rows()-1)) + 1
 }
 
 // Registry hosts named datasets, each behind a configurable engine. All
@@ -195,7 +201,7 @@ func (r *Registry) Add(name string, ds *data.Dataset, cfg EngineConfig) error {
 		}
 		return fmt.Errorf("%w: %q", ErrDuplicateDataset, name)
 	}
-	e.epoch = r.epochs.Add(1)
+	e.token = strconv.FormatUint(r.epochs.Add(1), 10)
 	r.entries[name] = e
 	r.mu.Unlock()
 	return nil
@@ -306,109 +312,86 @@ func (r *Registry) Schema(name string) (*data.Schema, error) {
 	return e.schema, nil
 }
 
-// State returns the dataset's cache-state token "epoch.version": epoch is
-// the registry-wide registration sequence number and version counts the
-// Insert/Delete operations applied since registration. Cache keys embed the
-// token, so results cached against a superseded state — after maintenance,
-// or after the name was removed and re-added over different data — die
-// naturally even without explicit invalidation. Compaction rewrites the
-// store layout without changing the version (the compacted snapshot is
-// query-equivalent), so it never touches the cache.
+// State returns the dataset's cache-state token: the registration epoch, a
+// registry-wide sequence number. Cache keys embed it, so results cached for
+// a name that was removed and re-added over different data are never read
+// again. Maintenance does not change the token — a cached answer records the
+// store version it reflects, and the executor patches it forward.
 func (r *Registry) State(name string) (string, error) {
 	e, err := r.entry(name)
 	if err != nil {
 		return "", err
 	}
-	return e.state(e.version()), nil
+	return e.token, nil
 }
 
-// Query answers SKY(pref) over the named dataset. Queries are lock-free
+// query answers SKY(pref) on the dataset's engine. Queries are lock-free
 // against writers: the engine grabs the store's current snapshot with one
 // atomic load and works on that immutable version for the rest of the query.
 //
-// The returned state token names the dataset state the result reflects, for
-// the executor to embed in the cache key. It is derived by reading the
-// version before and after the engine runs: if they agree, every snapshot
-// the engine could have loaded in between carries that version (compaction
-// preserves it), so the result is cacheable under it; if a writer published
-// in between, the token is empty and the result — still a perfectly valid
-// point-in-time answer — is served but not cached.
-func (r *Registry) Query(ctx context.Context, name string, pref *order.Preference) ([]data.PointID, string, error) {
-	e, err := r.entry(name)
-	if err != nil {
-		return nil, "", err
-	}
+// cacheable reports whether the answer names one store version: the version
+// is read before and after the engine runs, and if they agree every
+// snapshot the engine could have loaded in between carries it (compaction
+// preserves it). If a writer published in between, the answer — still a
+// valid point-in-time result — is served but not cached.
+func (e *dsEntry) query(ctx context.Context, pref *order.Preference) (a Answer, cacheable bool, err error) {
 	e.queries.Add(1)
-	before := e.version()
+	snap := e.store.Snapshot()
 	ids, err := e.eng.Skyline(ctx, pref)
 	if err != nil {
-		return nil, "", err
+		return Answer{}, false, err
 	}
-	if after := e.version(); after != before {
-		return ids, "", nil
-	}
-	return ids, e.state(before), nil
+	a = Answer{IDs: ids, Version: snap.Version(), Watermark: watermark(snap)}
+	return a, e.version() == a.Version, nil
 }
 
-// QueryCandidates answers SKY(pref) over the named dataset restricted to the
-// candidate point ids — the semantic-cache path. The caller guarantees the
-// candidates are a superset of the answer at the given state token (Theorem 1:
-// the skyline under a refined preference is a subset of the skyline under any
-// coarser one, so a coarser preference's skyline cached at that state
-// qualifies). The current snapshot is pinned first and its state compared
-// against state: on mismatch — the data moved since the candidates were
-// cached — ok is false, nothing is computed, and the caller falls back to a
-// full query. Because the whole
-// computation runs against the pinned snapshot, a true ok is exact for that
-// state even if writers publish concurrently, so the result is cacheable
-// under the same token.
-func (r *Registry) QueryCandidates(ctx context.Context, name, state string, pref *order.Preference, cand []data.PointID) (ids []data.PointID, ok bool, err error) {
-	e, err := r.entry(name)
-	if err != nil {
-		return nil, false, err
-	}
+// candidates answers SKY(pref) at one pinned snapshot from a cached answer:
+// cand is SKY_R(D) at version cand.Version for pref itself or for a coarser
+// preference R (Theorem 1: R-dominance implies dominance under every
+// refinement of R). The candidate set is cand's ids plus I, the live rows
+// with an id at or above cand.Watermark — every point inserted since. It is
+// exact: a live point outside it existed at cand.Version outside cand, so a
+// member of cand R-dominates it, and that member is still live. Removing
+// points that a remaining point dominates does not change a skyline.
+//
+// ok is false — with nothing computed — when a member of cand is no longer
+// live (a deletion may uncover points the candidates do not hold); the
+// caller then runs the engine. The engine's acceptance contract is replayed
+// first, so whether a request errors never depends on cache warmth. The
+// answer is ascending ids at the pinned snapshot's version and watermark,
+// cacheable under the same key.
+func (e *dsEntry) candidates(ctx context.Context, pref *order.Preference, cand Answer) (a Answer, ok bool, err error) {
 	snap := e.store.Snapshot()
-	if e.state(snap.Version()) != state {
-		return nil, false, nil
-	}
 	if err := ctx.Err(); err != nil {
-		return nil, false, err
+		return Answer{}, false, err
 	}
 	if e.validator != nil {
-		// A preference the engine's query path rejects — a non-refinement of
-		// the template, an unmaterialized value under a top-K tree — must
-		// keep failing here too, or the same request would flip between
-		// error and success with cache warmth. The caller falls back to the
-		// cold path, which surfaces the engine's own error.
 		if err := e.validator.ValidatePreference(pref); err != nil {
-			return nil, false, err
+			return Answer{}, false, err
 		}
 	}
-	cmp, err := dominance.NewComparator(e.schema, pref)
-	if err != nil {
-		return nil, false, err
-	}
-	rows := make([]int32, 0, len(cand))
-	for _, id := range cand {
+	rows := make([]int32, 0, len(cand.IDs))
+	for _, id := range cand.IDs {
 		row, live := snap.RowOf(id)
 		if !live {
-			// A candidate that is not live at the matching version should be
-			// impossible; bail to the cold path rather than risk a wrong
-			// answer on an inconsistent cache entry.
-			return nil, false, nil
+			return Answer{}, false, nil
 		}
 		rows = append(rows, row)
 	}
-	e.queries.Add(1)
+	rows = append(rows, snap.LiveRowsFrom(cand.Watermark)...)
+	cmp, err := dominance.NewComparator(e.schema, pref)
+	if err != nil {
+		return Answer{}, false, err
+	}
 	proj, err := snap.ProjectRows(cmp, rows)
 	if err != nil {
-		return nil, false, err
+		return Answer{}, false, err
 	}
 	out, err := proj.SkylineRangeCtx(ctx, 0, proj.N())
 	if err != nil {
-		return nil, false, err
+		return Answer{}, false, err
 	}
-	return proj.IDs(out), true, nil
+	return Answer{IDs: proj.IDs(out), Version: snap.Version(), Watermark: watermark(snap)}, true, nil
 }
 
 // BatchItem is one member's result of a vectorized batch execution.
@@ -417,7 +400,7 @@ type BatchItem struct {
 	Err error
 }
 
-// QueryBatch answers every preference's skyline over the named dataset in
+// queryBatch answers every preference's skyline over the dataset in
 // one shared pass (flat.SkylineBatch): the snapshot is pinned once, the scan
 // presorts once under the batch's meet preference, and each member pays only
 // a lightweight window over the meet skyline. Members the engine's query
@@ -426,14 +409,10 @@ type BatchItem struct {
 //
 // ok is false — with nothing computed — when the members share too little
 // structure for the shared scan to pay (flat.ErrBatchWindow); the caller
-// then falls back to independent queries. The state token follows the same before/after version
-// protocol as Query: empty means a writer raced and the results must not be
-// cached.
-func (r *Registry) QueryBatch(ctx context.Context, name string, prefs []*order.Preference) (items []BatchItem, state string, ok bool, err error) {
-	e, err := r.entry(name)
-	if err != nil {
-		return nil, "", false, err
-	}
+// then falls back to independent queries. at carries the pinned snapshot's
+// version and watermark: every member's answer is exact at that snapshot,
+// so it is cacheable whatever writers published meanwhile.
+func (e *dsEntry) queryBatch(ctx context.Context, prefs []*order.Preference) (items []BatchItem, at Answer, ok bool, err error) {
 	items = make([]BatchItem, len(prefs))
 	run := make([]*order.Preference, 0, len(prefs))
 	runIdx := make([]int, 0, len(prefs))
@@ -448,25 +427,21 @@ func (r *Registry) QueryBatch(ctx context.Context, name string, prefs []*order.P
 		runIdx = append(runIdx, i)
 	}
 	if len(run) == 0 {
-		return items, e.state(e.version()), true, nil
+		return items, Answer{}, true, nil
 	}
 	snap := e.store.Snapshot()
-	before := snap.Version()
 	e.queries.Add(uint64(len(run)))
 	results, err := snap.SkylineBatch(ctx, run, 0)
 	if errors.Is(err, flat.ErrBatchWindow) {
-		return nil, "", false, nil
+		return nil, Answer{}, false, nil
 	}
 	if err != nil {
-		return nil, "", false, err
+		return nil, Answer{}, false, err
 	}
 	for j, ids := range results {
 		items[runIdx[j]].IDs = ids
 	}
-	if e.version() != before {
-		return items, "", true, nil
-	}
-	return items, e.state(before), true, nil
+	return items, Answer{Version: snap.Version(), Watermark: watermark(snap)}, true, nil
 }
 
 // maintainer resolves the entry's maintenance interface, normalizing the

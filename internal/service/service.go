@@ -12,20 +12,21 @@
 //     engine's versioned columnar store: queries grab the current snapshot
 //     with one atomic load and are never blocked by writers, writers
 //     serialize only among themselves.
-//   - Cache is a sharded LRU over (dataset, registration epoch +
-//     maintenance version, canonical preference) with
-//     hit/semantic-hit/miss/eviction counters and state-tagged entries.
+//   - Cache is a sharded LRU over (dataset, registration epoch, canonical
+//     preference) with hit/semantic-hit/miss/eviction counters. Each entry
+//     records the store version its answer reflects.
 //   - Executor runs queries through the cache with a bounded worker pool and
-//     exposes single and batch execution. On an exact-key miss it walks the
-//     preference's refinement lattice (order.Preference.CoarserKeys): if a
-//     strictly coarser preference's skyline is cached at the same store
-//     version, Theorem 1 bounds the refined skyline by those candidates, so
-//     the flat kernel scans a few hundred cached rows instead of the whole
-//     dataset — the semi-materialization the paper contrasts with full
-//     materialization, applied at query time.
+//     exposes single and batch execution. An entry cached at an older
+//     version is patched to the current snapshot by one scan of its ids plus
+//     the points inserted since, unless a member was deleted. On an
+//     exact-key miss it walks the preference's refinement lattice
+//     (order.Preference.CoarserKeys): if a strictly coarser preference's
+//     skyline is cached, Theorem 1 bounds the refined skyline by those
+//     candidates, so the flat kernel scans a few hundred cached rows
+//     instead of the whole dataset — the semi-materialization the paper
+//     contrasts with full materialization, applied at query time.
 //
-// Service ties the three together and adds the cross-layer glue: stale-state
-// cache reclamation after maintenance.
+// Service ties the three together.
 package service
 
 import (
@@ -142,64 +143,29 @@ func (s *Service) Batch(ctx context.Context, dataset string, prefs []*order.Pref
 	return s.exec.Batch(ctx, dataset, prefs)
 }
 
-// invalidateStale reclaims the dataset's cached entries left unreachable by
-// a version bump: it records the dataset's new state with the cache (so even
-// a racing Put tagged with the superseded state is rejected) and drops every
-// entry tagged with an older one. If the dataset vanished concurrently, the
-// whole tag is dropped instead.
-func (s *Service) invalidateStale(dataset string) {
-	state, err := s.reg.State(dataset)
-	if err != nil {
-		s.cache.InvalidateDataset(dataset)
-		return
-	}
-	s.cache.InvalidateStale(dataset, state)
-}
-
-// Insert adds a point to a maintainable dataset and reclaims its
-// stale-state cached results. State-tagged keys (registration epoch +
-// maintenance version) already make superseded entries unreachable, so the
-// reclamation is pure storage hygiene — and recording the new state lets the
-// cache reject Puts racing in with the old one.
+// Insert adds a point to a maintainable dataset. Cached answers stay: each
+// records the store version it reflects, and the executor patches it to the
+// current snapshot on its next lookup.
 func (s *Service) Insert(dataset string, num []float64, nom []order.Value) (data.PointID, error) {
-	id, err := s.reg.Insert(dataset, num, nom)
-	if err != nil {
-		return 0, err
-	}
-	s.invalidateStale(dataset)
-	return id, nil
+	return s.reg.Insert(dataset, num, nom)
 }
 
-// Delete removes a point from a maintainable dataset and reclaims its
-// stale-state cached results.
+// Delete removes a point from a maintainable dataset. A cached answer that
+// holds the point is recomputed by the engine on its next lookup.
 func (s *Service) Delete(dataset string, id data.PointID) error {
-	if err := s.reg.Delete(dataset, id); err != nil {
-		return err
-	}
-	s.invalidateStale(dataset)
-	return nil
+	return s.reg.Delete(dataset, id)
 }
 
-// InsertBatch applies a batch of inserts, stopping at the first failure, and
-// reclaims the dataset's stale-state cached results if anything was applied.
+// InsertBatch applies a batch of inserts, stopping at the first failure.
 // The ids of the points inserted so far are always returned.
 func (s *Service) InsertBatch(dataset string, pts []PointInput) ([]data.PointID, error) {
-	ids, err := s.reg.InsertBatch(dataset, pts)
-	if len(ids) > 0 {
-		s.invalidateStale(dataset)
-	}
-	return ids, err
+	return s.reg.InsertBatch(dataset, pts)
 }
 
-// DeleteBatch applies a batch of deletes, stopping at the first failure, and
-// reclaims the dataset's stale-state cached results if anything was applied.
+// DeleteBatch applies a batch of deletes, stopping at the first failure.
 // applied reports how many deletes landed.
 func (s *Service) DeleteBatch(dataset string, ids []data.PointID) (applied int, err error) {
-	applied, err = s.reg.DeleteBatch(dataset, ids)
-	if applied > 0 {
-		s.invalidateStale(dataset)
-	}
-	return applied, err
+	return s.reg.DeleteBatch(dataset, ids)
 }
 
 // Close flushes and closes every durable dataset: final checkpoint, WAL

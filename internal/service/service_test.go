@@ -99,9 +99,9 @@ func TestCanonicallyEqualPreferencesShareCacheEntries(t *testing.T) {
 
 func TestCacheEviction(t *testing.T) {
 	c := NewCache(2, 1)
-	c.Put("a", "ds", "1.0", []data.PointID{1})
-	c.Put("b", "ds", "1.0", []data.PointID{2})
-	c.Put("c", "ds", "1.0", []data.PointID{3})
+	c.Put("a", "ds", Answer{IDs: []data.PointID{1}})
+	c.Put("b", "ds", Answer{IDs: []data.PointID{2}})
+	c.Put("c", "ds", Answer{IDs: []data.PointID{3}})
 	if _, ok := c.Get("a"); ok {
 		t.Error("LRU entry a survived past capacity")
 	}
@@ -114,7 +114,7 @@ func TestCacheEviction(t *testing.T) {
 
 	// Touching an entry must protect it from eviction.
 	c.Get("b")
-	c.Put("d", "ds", "1.0", []data.PointID{4})
+	c.Put("d", "ds", Answer{IDs: []data.PointID{4}})
 	if _, ok := c.Get("b"); !ok {
 		t.Error("recently used entry b was evicted")
 	}
@@ -152,8 +152,10 @@ func TestMaintenanceInvalidatesCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if outcome != OutcomeEngine {
-		t.Errorf("post-insert query outcome = %v, want engine", outcome)
+	// The cached answer is patched across the insert: one scan of its ids
+	// plus the inserted point.
+	if outcome != OutcomeExact {
+		t.Errorf("post-insert query outcome = %v, want exact", outcome)
 	}
 	if reflect.DeepEqual(before, after) {
 		t.Errorf("insert did not change the skyline: %v", after)
@@ -286,7 +288,7 @@ func TestReAddDatasetCannotServeStaleCache(t *testing.T) {
 	s.RemoveDataset("d")
 	// Simulate an in-flight query from before the removal completing late:
 	// its Put lands after InvalidateDataset, tagged with the old state.
-	s.Cache().Put(cacheKey("d", staleState, pref.CacheKey()), "d", staleState, []data.PointID{99})
+	s.Cache().Put(cacheKey("d", staleState, pref.CacheKey()), "d", Answer{IDs: []data.PointID{99}})
 
 	// Re-add the same name over different data (packages a and b only,
 	// where a dominates b: skyline = [0]).
@@ -560,7 +562,7 @@ func TestStatsCounters(t *testing.T) {
 func TestCacheShardDistribution(t *testing.T) {
 	c := NewCache(64, 8)
 	for i := 0; i < 64; i++ {
-		c.Put(fmt.Sprintf("key-%d", i), "ds", "1.0", nil)
+		c.Put(fmt.Sprintf("key-%d", i), "ds", Answer{})
 	}
 	if got := c.Len(); got < 32 {
 		// Perfectly even filling is not guaranteed (per-shard caps), but a

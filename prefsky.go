@@ -147,6 +147,9 @@ type (
 	ResultCache = service.Cache
 	// CacheStats reports result-cache counters.
 	CacheStats = service.CacheStats
+	// CachedAnswer is a result-cache entry: ascending ids, the store version
+	// they reflect and the id watermark a patch scans from.
+	CachedAnswer = service.Answer
 	// QueryResult is one outcome of a Service batch execution.
 	QueryResult = service.QueryResult
 	// QueryOutcome classifies how a Service query was served: full engine
